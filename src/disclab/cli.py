@@ -15,6 +15,7 @@ import configparser
 import hashlib
 import os
 import sys
+from dataclasses import fields
 
 from . import bias
 from . import harness as hn
@@ -25,12 +26,16 @@ from . import verify as vf
 from .errors import (
     ConfigurationError,
     DisclabError,
-    DomainError,
     ResourceError,
     UnsupportedError,
 )
 
-_KINDS = ("primes", "two_squares", "rough", "quadform", "ktuple")
+# the flags that carry a family's parameter, named after its field
+_KIND_FLAGS = {
+    "form": {"help": "quadratic form 'alpha,beta,gamma'"},
+    "tuple": {"help": "linear forms 'a1,b1;a2,b2;...'"},
+    "y": {"type": int, "help": "roughness cutoff"},
+}
 
 
 def _fmt(v) -> str:
@@ -49,9 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--M", type=float)
     p.add_argument("--x", type=int)
-    p.add_argument("--form", help="quadratic form 'alpha,beta,gamma'")
-    p.add_argument("--tuple", help="linear forms 'a1,b1;a2,b2;...'")
-    p.add_argument("--y", type=int, help="roughness cutoff")
+    for flag, opts in _KIND_FLAGS.items():
+        p.add_argument(f"--{flag}", **opts)
 
     d = sub.add_parser("discrepancy", help="empirical average of A(x;q,a) minus its model term")
     _kind_flags(d)
@@ -64,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--threads", type=int)
 
     s = sub.add_parser("s5", help="smoothed/sharp sum combination of the bias expansion")
-    _kind_flags(s, tuple_ok=False)
+    _kind_flags(s, flags=("form", "y"))
     s.add_argument("--a", type=int)
     s.add_argument("--M", type=float)
     s.add_argument("--R", type=float)
@@ -88,13 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _kind_flags(p: argparse.ArgumentParser, tuple_ok: bool = True):
-    kinds = _KINDS if tuple_ok else tuple(k for k in _KINDS if k != "ktuple")
+def _kind_flags(p: argparse.ArgumentParser, flags=tuple(_KIND_FLAGS)):
+    """--kind and the given parameter flags; a family is offered where its flag is."""
+    kinds = [name for name, fam in sq.FAMILIES.items() if all(f.name in flags for f in fields(fam))]
     p.add_argument("--kind", choices=kinds)
-    p.add_argument("--form", help="quadratic form 'alpha,beta,gamma'")
-    if tuple_ok:
-        p.add_argument("--tuple", help="linear forms 'a1,b1;a2,b2;...'")
-    p.add_argument("--y", type=int, help="roughness cutoff")
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_KIND_FLAGS[flag])
 
 
 # per-subcommand resolvable keys: dest -> (caster from config text, default)
@@ -154,23 +157,14 @@ def _require(args, *names):
             raise ConfigurationError(f"--{name.replace('_', '-')} is required here")
 
 
-def _kind_from(args) -> sq.SequenceKind:
+def _family(args) -> sq.Family:
     _require(args, "kind")
-    k = args.kind
-    if k == "primes":
-        return sq.PrimesLambda()
-    if k == "two_squares":
-        return sq.SumTwoSquares()
-    if k == "rough":
-        _require(args, "y")
-        return sq.Rough(args.y)
-    if k == "quadform":
-        _require(args, "form")
-        return sq.QuadFormMult(qf.parse_form(args.form))
-    if k == "ktuple":
-        _require(args, "tuple")
-        return sq.KTupleWeight(kt.parse_tuple(args.tuple))
-    raise ConfigurationError(f"unknown kind {k!r}")
+    if args.kind not in sq.FAMILIES:
+        raise ConfigurationError(f"unknown kind {args.kind!r}")
+    family = sq.FAMILIES[args.kind]
+    names = [f.name for f in fields(family)]
+    _require(args, *names)
+    return family(*(family.parse(getattr(args, name)) for name in names))
 
 
 def _print_prediction(pred: bias.BiasPrediction):
@@ -194,12 +188,12 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _cache_path(kind: sq.SequenceKind, x: int, directory: str) -> str:
+def _cache_path(kind: sq.Family, x: int, directory: str) -> str:
     safe = kind.label().replace(";", "+").replace(",", "_")
     return os.path.join(directory, f"{safe}.x{x}.sieve")
 
 
-def _window_for(kind: sq.SequenceKind, x: int):
+def _window_for(kind: sq.Family, x: int):
     cache_dir = os.environ.get("DISCLAB_CACHE_DIR")
     if cache_dir:
         path = _cache_path(kind, x, cache_dir)
@@ -211,12 +205,14 @@ def _window_for(kind: sq.SequenceKind, x: int):
 
 
 def cmd_discrepancy(args) -> int:
-    kind = _kind_from(args)
+    kind = _family(args)
     _require(args, "a", "x", "M")
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    if args.threads is not None and args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
+    threads = args.threads or os.cpu_count() or 1
     cfg = hn.ExperimentConfig(
         kind=kind, a=args.a, x=args.x, M=args.M,
-        mode=args.mode, coprime_filter=args.coprime_filter, output=args.out,
+        mode=args.mode, coprime_filter=args.coprime_filter,
     )
     report = hn.empirical_average(cfg, window=_window_for(kind, args.x), threads=threads)
     print(f"q_count = {report.q_count}")
@@ -237,11 +233,11 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_s5(args) -> int:
-    kind = _kind_from(args)
+    kind = _family(args)
     _require(args, "a", "M", "R", "x")
-    model = hn.model_for(kind)
-    if model is None:
-        raise UnsupportedError(f"s5 needs a multiplicative model; {kind.label()} has none")
+    if "mu_k" not in kind.routes.values():
+        raise UnsupportedError(f"s5 compares with bias.mu_k, which does not cover {kind.label()}")
+    model = kind.model()
     sums = hn.s5_sums(model, args.a, args.M, args.R, args.x)
     print(f"S_R = {_fmt(sums.S_R)}")
     print(f"S_M = {_fmt(sums.S_M)}")
@@ -251,14 +247,16 @@ def cmd_s5(args) -> int:
     print(f"mu_over_M = {_fmt(pred.leading_value / args.M)}")
     if pred.leading_value != 0.0:
         print(f"ratio = {_fmt(sums.S5 * args.M / pred.leading_value)}")
-    if args.kind == "primes" and abs(args.a) == 1:
+    try:
         # leading + secondary + R-truncation term, against M*S5
-        secondary = bias.predict_example("primes", args.a, args.M).secondary
-        expected = bias.predict_s5("primes", args.a, args.M, args.R)
-        print(f"secondary = {_fmt(secondary)}")
-        print(f"predicted = {_fmt(expected)}")
-        print(f"residual = {_fmt(sums.S5 * args.M - expected)}")
-        print(f"ratio_predicted = {_fmt(sums.S5 * args.M / expected)}")
+        expected = bias.predict_s5(kind.name, args.a, args.M, args.R)
+    except UnsupportedError:
+        return 0
+    secondary = bias.predict_example(kind.name, args.a, args.M).secondary
+    print(f"secondary = {_fmt(secondary)}")
+    print(f"predicted = {_fmt(expected)}")
+    print(f"residual = {_fmt(sums.S5 * args.M - expected)}")
+    print(f"ratio_predicted = {_fmt(sums.S5 * args.M / expected)}")
     return 0
 
 
@@ -277,7 +275,7 @@ def cmd_quadform(args) -> int:
 
 
 def cmd_sieve_cache(args) -> int:
-    kind = _kind_from(args)
+    kind = _family(args)
     _require(args, "x")
     directory = args.dir or os.environ.get("DISCLAB_CACHE_DIR") or "."
     os.makedirs(directory, exist_ok=True)

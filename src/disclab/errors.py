@@ -26,8 +26,4 @@ class ModelError(DisclabError):
 
 
 class ResourceError(DisclabError):
-    """Resource budget exceeded; may carry a partial result checkpoint."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Resource budget exceeded."""

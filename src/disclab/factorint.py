@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import ConfigurationError, OutOfRangeError
 
 MAX_TABLE_LIMIT = 10**9
 
-Factorization = Tuple[Tuple[int, int], ...]
+Factorization = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -290,11 +290,3 @@ def kronecker(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
-
-def gcd_of_factored(a_factors: Sequence[Tuple[int, int]], b_factors: Sequence[Tuple[int, int]]) -> int:
-    bd = dict(b_factors)
-    g = 1
-    for p, e in a_factors:
-        if p in bd:
-            g *= p ** min(e, bd[p])
-    return g

@@ -30,7 +30,7 @@ from . import multfn as mf
 from . import sequences as sq
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from .factorint import as_factored, iter_primes, phi
-from .ktuples import KTuple, P_of, gamma_H, nu_H
+from .ktuples import KTuple, nu_H
 
 MAX_DENSE = sq.MAX_WINDOW
 _BLOCK = 10**7
@@ -41,16 +41,12 @@ _MODES = ("full", "dyadic")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: sq.SequenceKind
+    kind: sq.Family
     a: int
     x: int
     M: float
     mode: str = "full"
     coprime_filter: str = "none"
-    R: Optional[float] = None
-    output: Optional[str] = None
-    m_cap: Optional[float] = None
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.a == 0:
@@ -65,13 +61,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"coprime_filter must be one of {_FILTERS}, got {self.coprime_filter!r}"
             )
-        if self.m_cap is not None and self.M > self.m_cap:
-            raise ConfigurationError(f"M={self.M} exceeds the configured cap {self.m_cap}")
-        if self.R is not None:
-            if self.R < self.M ** (1 + self.delta) or self.R**2 > self.x:
-                raise ConfigurationError(
-                    f"R={self.R} outside [M^(1+delta), sqrt(x)] for M={self.M}, x={self.x}"
-                )
 
     @property
     def config_hash(self) -> str:
@@ -83,7 +72,6 @@ class ExperimentConfig:
                 repr(float(self.M)),
                 self.mode,
                 self.coprime_filter,
-                repr(None if self.R is None else float(self.R)),
             ]
         )
         return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -228,37 +216,27 @@ def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
     return G
 
 
-def model_for(kind: sq.SequenceKind) -> Optional[mf.SequenceModel]:
-    if isinstance(kind, sq.PrimesLambda):
-        return mf.primes_model()
-    if isinstance(kind, sq.QuadFormMult):
-        return mf.quadform_model(kind.form)
-    if isinstance(kind, sq.SumTwoSquares):
-        return mf.two_squares_model()
-    if isinstance(kind, sq.Rough):
-        return mf.rough_model(kind.y)
-    return None
-
-
 def _term_array(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    if isinstance(cfg.kind, sq.KTupleWeight):
+    model = cfg.kind.model()
+    if model is None:
         return ktuple_term_range(cfg.kind.tuple, lo, hi)
-    return g_range(model_for(cfg.kind), cfg.a, lo, hi)
+    return g_range(model, cfg.a, lo, hi)
+
+
+def _filter_base(cfg: ExperimentConfig) -> int:
+    """The integer whose prime factors the coprimality filter removes from q."""
+    if cfg.coprime_filter == "none":
+        return 1
+    if cfg.coprime_filter == "a":
+        return abs(cfg.a)
+    return abs(cfg.kind.P(cfg.a))
 
 
 def _filter_mask(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    n = hi - lo + 1
-    mask = np.ones(n, dtype=bool)
-    if cfg.coprime_filter == "none":
-        return mask
-    if cfg.coprime_filter == "a":
-        base = abs(cfg.a)
-    else:
-        if not isinstance(cfg.kind, sq.KTupleWeight):
-            raise DomainError("filter 'P' only applies to tuple weights")
-        base = abs(P_of(cfg.a, cfg.kind.tuple))
-        if base == 0:
-            raise DomainError("P(a;H) = 0: the filter is undefined")
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    base = _filter_base(cfg)
+    if base == 0:
+        raise DomainError("P(a;H) = 0: the filter is undefined")
     if base == 1:
         return mask
     for p, _ in as_factored(base).factors:
@@ -273,41 +251,22 @@ def _filter_mask(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _normalizer(cfg: ExperimentConfig, A_x: float) -> float:
-    span = cfg.x / cfg.M if cfg.mode == "full" else cfg.x / (2 * cfg.M)
-    kind, filt = cfg.kind, cfg.coprime_filter
-    if isinstance(kind, (sq.PrimesLambda, sq.Rough)) and filt == "a":
-        aa = abs(cfg.a)
-        return phi(aa) / aa * span
-    if isinstance(kind, sq.KTupleWeight):
-        P = abs(P_of(cfg.a, kind.tuple))
-        return phi(P) / P * span
-    if isinstance(kind, (sq.QuadFormMult, sq.SumTwoSquares)) and filt == "none":
-        return span
+    if cfg.coprime_filter in cfg.kind.norm_filters:
+        span = cfg.x / cfg.M if cfg.mode == "full" else cfg.x / (2 * cfg.M)
+        base = _filter_base(cfg)
+        return phi(base) / base * span
     return A_x / cfg.M if cfg.mode == "full" else A_x / (2 * cfg.M)
 
 
 def _prediction(cfg: ExperimentConfig) -> Optional[bias.BiasPrediction]:
-    kind, filt, mode = cfg.kind, cfg.coprime_filter, cfg.mode
+    kind = cfg.kind
+    route = kind.routes.get((cfg.coprime_filter, cfg.mode))
     try:
-        if isinstance(kind, sq.PrimesLambda):
-            if filt == "a" and mode == "full":
-                return bias.predict_example("primes", cfg.a, cfg.M)
-            if filt == "none":
-                return bias.mu_k(mf.primes_model(), cfg.a, cfg.M)
-        elif isinstance(kind, sq.QuadFormMult):
-            if filt == "none" and mode == "full":
-                return bias.predict_example("quadform", cfg.a, cfg.M, form=kind.form)
-        elif isinstance(kind, sq.SumTwoSquares):
-            if filt == "none" and mode == "dyadic":
-                return bias.predict_example("two_squares", cfg.a, cfg.M, cfg.x)
-        elif isinstance(kind, sq.KTupleWeight):
-            if mode == "dyadic":
-                return bias.predict_example("ktuple", cfg.a, cfg.M, tuple=kind.tuple)
-        elif isinstance(kind, sq.Rough):
-            if filt == "a" and mode == "dyadic":
-                return bias.predict_example("rough", cfg.a, cfg.M, cfg.x, y=kind.y)
-            if filt == "none":
-                return bias.mu_k(mf.rough_model(kind.y), cfg.a, cfg.M)
+        if route == "example":
+            # a family's fields are the keywords of its closed form
+            return bias.predict_example(kind.name, cfg.a, cfg.M, cfg.x, **vars(kind))
+        if route == "mu_k":
+            return bias.mu_k(kind.model(), cfg.a, cfg.M)
     except (DomainError, UnsupportedError):
         return None
     return None
@@ -336,8 +295,10 @@ def empirical_average(
     Float terms are reduced with fsum in q-order, independent of thread count.
     """
     t0 = time.perf_counter()
-    if isinstance(cfg.kind, sq.KTupleWeight) and cfg.coprime_filter != "P":
-        raise UnsupportedError("tuple runs need coprime_filter='P'")
+    if cfg.kind.required_filter not in (None, cfg.coprime_filter):
+        raise UnsupportedError(
+            f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
+        )
     if cfg.x > MAX_DENSE:
         raise ResourceError(f"x={cfg.x} above dense-array budget {MAX_DENSE}")
     if window is None:
@@ -350,15 +311,11 @@ def empirical_average(
     wf = w.astype(np.float64) if integer else w
 
     q_lo, q_hi = cfg.q_range()
-    if q_hi < q_lo:
-        q_lo, q_hi, empty = 1, 0, True
-    else:
-        empty = False
     pm = 0.0
     if subtract_point_mass and 0 < cfg.a <= cfg.x:
         pm = float(sq.weight_at(cfg.kind, cfg.a))
 
-    if empty:
+    if q_hi < q_lo:
         terms: list[float] = []
         q_count = 0
     else:
@@ -399,7 +356,6 @@ def empirical_average(
         "M": float(cfg.M),
         "mode": cfg.mode,
         "coprime_filter": cfg.coprime_filter,
-        "R": None if cfg.R is None else float(cfg.R),
     }
     return DiscrepancyReport(empirical, normalized, predicted, ratio, q_count, runtime_ms, prov)
 
@@ -408,16 +364,14 @@ def empirical_average(
 # the smoothed-minus-sharp sum of the bias expansion
 
 
-def s5_sums(
-    model: mf.SequenceModel, a, M: float, R: float, x: int, delta: float = 0.0
-) -> S5Sums:
+def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     """S_R - S_M - S_tail where S_T smooths g_a(r)(1 - r/T) and the tail
     runs the unsmoothed sum over x/R < q <= x/M.  Direct summation throughout;
     the tail is walked in fixed-size blocks."""
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
-    if R < M ** (1 + delta) or R**2 > x:
-        raise DomainError(f"R={R} outside [M^(1+delta), sqrt(x)] at x={x}")
+    if R**2 > x:
+        raise DomainError(f"R={R} above sqrt(x) at x={x}")
     Rn, Mn = int(R), int(M)
     GR = g_range(model, a, 1, Rn)
     S_R = math.fsum(g * (1.0 - r / R) for r, g in enumerate(GR.tolist(), start=1))
@@ -441,7 +395,7 @@ def s5_sums(
 
 
 def divisor_switch_check(
-    kind: sq.SequenceKind, a: int, x: int, M: float, window: sq.SievedWindow | None = None
+    kind: sq.Family, a: int, x: int, M: float, window: sq.SievedWindow | None = None
 ) -> tuple[float, float, bool]:
     """Both sides of the large-modulus count swap n = a + qr.
 
@@ -492,7 +446,7 @@ def divisor_switch_check(
 # ----------------------------------------------------------------------------
 # export
 
-CSV_HEADER = "config_hash,kind,a,x,M,mode,empirical_sum,normalized_avg,predicted,ratio,q_count,runtime_ms"
+CSV_HEADER = "config_hash,kind,a,x,M,mode,coprime_filter,empirical_sum,normalized_avg,predicted,ratio,q_count,runtime_ms"
 
 
 def _fmt(v: float) -> str:
@@ -564,6 +518,7 @@ def compare_and_export(report: DiscrepancyReport, path: str, format: str = "csv"
                 prov["x"],
                 _fmt(prov["M"]),
                 prov["mode"],
+                prov["coprime_filter"],
                 _fmt(report.empirical_sum),
                 _fmt(report.normalized_avg),
                 _fmt(pred),

@@ -1,27 +1,28 @@
 """Sequence families and windowed sieves.
 
-Five weighted sequences share one interface: prime powers with log weights,
-values of a positive definite quadratic form, the sum-of-two-squares
-indicator, products of log-prime weights over a linear-form tuple, and
-integers free of small prime factors.  A sieve materializes one window
-[lo, hi] as sparse (support, weight) arrays; counting helpers sum them over
-divisibility or residue conditions.
+Five weighted sequences share one interface (Family, registered by name in
+FAMILIES): prime powers with log weights, values of a positive definite
+quadratic form, the sum-of-two-squares indicator, products of log-prime
+weights over a linear-form tuple, and integers free of small prime factors.
+A sieve materializes one window [lo, hi] as sparse (support, weight) arrays;
+counting helpers sum them over divisibility or residue conditions.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from . import multfn as mf
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from .factorint import MAX_TABLE_LIMIT, as_factored, iter_primes, spf_window
-from .ktuples import KTuple, is_admissible
-from .quadform import BinaryQuadraticForm
+from .ktuples import KTuple, P_of, is_admissible, parse_tuple
+from .quadform import BinaryQuadraticForm, parse_form
 
 # widest dense window a single sieve call may allocate
 MAX_WINDOW = 6 * 10**7
@@ -30,35 +31,115 @@ _CACHE_MAGIC = b"DLSW"
 _CACHE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class PrimesLambda:
+class Family:
+    """One weighted sequence, described once.
+
+    A family defines window(lo, hi), its support and weights over a window
+    sieve() has checked.  Its dataclass field, if any, is its parameter; the
+    field's name is also its command-line flag (read by parse) and its
+    keyword in bias.predict_example, whose family is name.  Class attributes
+    declare the rest: integer_weights; indicator (0/1 weights, for which
+    check_Ad_identity holds); required_filter, the one coprimality filter
+    its runs take; norm_filters, the filters under which averages are
+    normalized by (phi(b)/b) x/M, b the filter's base (1, |a| or |P(a;H)|),
+    instead of A(x)/M; and routes, (filter, mode) -> "example"
+    (bias.predict_example) or "mu_k" (bias.mu_k on model()).
+    """
+
+    name: ClassVar[str]
+    integer_weights: ClassVar[bool]
+    indicator: ClassVar[bool] = False
+    required_filter: ClassVar[Optional[str]] = None
+    norm_filters: ClassVar[tuple] = ()
+    routes: ClassVar[dict] = {}
+    parse: ClassVar[Optional[Callable]] = None
+
     def label(self) -> str:
-        return "primes"
+        return self.name
 
-    integer_weights = False
+    def weight(self, n: int) -> float | int:
+        """a(n) for n >= 1; an indicator family's is 1 exactly where h(n) = 1."""
+        return int(self.model().h_of(n) == 1)
+
+    def model(self) -> Optional[mf.SequenceModel]:
+        """The multiplicative density model, or None (tuples)."""
+        return None
+
+    def P(self, a: int) -> int:
+        """P(a; H), the base of the 'P' filter."""
+        raise DomainError("filter 'P' only applies to tuple weights")
 
 
 @dataclass(frozen=True)
-class QuadFormMult:
+class PrimesLambda(Family):
+    name = "primes"
+    integer_weights = False
+    norm_filters = ("a",)
+    routes = {("a", "full"): "example", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
+
+    def window(self, lo, hi):
+        return _lambda_window(lo, hi)
+
+    def weight(self, n):
+        fac = as_factored(n).factors
+        return math.log(fac[0][0]) if len(fac) == 1 else 0.0
+
+    def model(self):
+        return mf.primes_model()
+
+
+@dataclass(frozen=True)
+class QuadFormMult(Family):
     form: BinaryQuadraticForm
+
+    name = "quadform"
+    integer_weights = True
+    norm_filters = ("none",)
+    routes = {("none", "full"): "example"}
+    parse = staticmethod(parse_form)
 
     def label(self) -> str:
         return f"quadform_{self.form.label()}"
 
-    integer_weights = True
+    def window(self, lo, hi):
+        counts = _form_counts(self.form, lo, hi)
+        idx = np.nonzero(counts)[0]
+        return idx + lo, counts[idx]
+
+    def weight(self, n):
+        w = sieve(self, n, n).weights
+        return int(w[0]) if len(w) else 0
+
+    def model(self):
+        return mf.quadform_model(self.form)
 
 
 @dataclass(frozen=True)
-class SumTwoSquares:
-    def label(self) -> str:
-        return "two_squares"
-
+class SumTwoSquares(Family):
+    name = "two_squares"
     integer_weights = True
+    indicator = True
+    norm_filters = ("none",)
+    routes = {("none", "dyadic"): "example"}
+
+    def window(self, lo, hi):
+        idx = np.nonzero(_form_counts(BinaryQuadraticForm(1, 0, 1), lo, hi))[0]
+        return idx + lo, np.ones(len(idx), dtype=np.int64)
+
+    def model(self):
+        return mf.two_squares_model()
 
 
 @dataclass(frozen=True)
-class KTupleWeight:
+class KTupleWeight(Family):
     tuple: KTuple
+
+    name = "ktuple"
+    integer_weights = False
+    required_filter = "P"
+    norm_filters = ("P",)
+    routes = {("P", "dyadic"): "example"}
+    parse = staticmethod(parse_tuple)
 
     def __post_init__(self):
         if not is_admissible(self.tuple):
@@ -67,12 +148,53 @@ class KTupleWeight:
     def label(self) -> str:
         return f"ktuple_{self.tuple.label()}"
 
-    integer_weights = False
+    def window(self, lo, hi):
+        common = None
+        weights = None
+        for a, b in self.tuple.forms:
+            vlo, vhi = a * lo + b, a * hi + b
+            if vhi < 2:
+                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+            if vhi > MAX_TABLE_LIMIT or vhi - max(vlo, 2) + 1 > MAX_WINDOW:
+                raise ResourceError(
+                    f"form {a}n+{b} needs values up to {vhi}; shrink the window"
+                )
+            vsup, vwts = _lambda_window(max(vlo, 2), vhi)
+            keep = (vsup - b) % a == 0
+            ns = (vsup[keep] - b) // a
+            inside = ns >= lo
+            ns, ws = ns[inside], vwts[keep][inside]
+            if common is None:
+                common, weights = ns, ws
+            else:
+                common, ia, ib = np.intersect1d(common, ns, assume_unique=True, return_indices=True)
+                weights = weights[ia] * ws[ib]
+            if len(common) == 0:
+                break
+        return common.astype(np.int64), weights
+
+    def weight(self, n):
+        out = 1.0
+        for a, b in self.tuple.forms:
+            out *= weight_at(PrimesLambda(), a * n + b)
+            if out == 0.0:
+                return 0.0
+        return out
+
+    def P(self, a):
+        return P_of(a, self.tuple)
 
 
 @dataclass(frozen=True)
-class Rough:
+class Rough(Family):
     y: int
+
+    name = "rough"
+    integer_weights = True
+    indicator = True
+    norm_filters = ("a",)
+    routes = {("a", "dyadic"): "example", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
+    parse = staticmethod(int)
 
     def __post_init__(self):
         if self.y < 2:
@@ -81,10 +203,22 @@ class Rough:
     def label(self) -> str:
         return f"rough_{self.y}"
 
-    integer_weights = True
+    def window(self, lo, hi):
+        keep = np.ones(hi - lo + 1, dtype=bool)
+        for p in iter_primes(min(self.y - 1, hi)):
+            start = ((lo + p - 1) // p) * p
+            keep[start - lo :: p] = False
+        idx = np.nonzero(keep)[0]
+        return idx + lo, np.ones(len(idx), dtype=np.int64)
+
+    def model(self):
+        return mf.rough_model(self.y)
 
 
-SequenceKind = Union[PrimesLambda, QuadFormMult, SumTwoSquares, KTupleWeight, Rough]
+# by --kind name, in the order the command line offers them
+FAMILIES = {
+    f.name: f for f in (PrimesLambda, SumTwoSquares, Rough, QuadFormMult, KTupleWeight)
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,89 +307,18 @@ def _form_counts(form: BinaryQuadraticForm, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def _sieve_rough(y: int, lo: int, hi: int) -> np.ndarray:
-    keep = np.ones(hi - lo + 1, dtype=bool)
-    for p in iter_primes(min(y - 1, hi)):
-        start = ((lo + p - 1) // p) * p
-        keep[start - lo :: p] = False
-    return keep
-
-
-def sieve(kind: SequenceKind, lo: int, hi: int) -> SievedWindow:
+def sieve(kind: Family, lo: int, hi: int) -> SievedWindow:
     """Materialize the weights of one family over [lo, hi]."""
     _check_window(lo, hi)
-    if isinstance(kind, PrimesLambda):
-        support, weights = _lambda_window(lo, hi)
-    elif isinstance(kind, QuadFormMult):
-        counts = _form_counts(kind.form, lo, hi)
-        idx = np.nonzero(counts)[0]
-        support = idx + lo
-        weights = counts[idx]
-    elif isinstance(kind, SumTwoSquares):
-        counts = _form_counts(BinaryQuadraticForm(1, 0, 1), lo, hi)
-        idx = np.nonzero(counts)[0]
-        support = idx + lo
-        weights = np.ones(len(idx), dtype=np.int64)
-    elif isinstance(kind, KTupleWeight):
-        support, weights = _sieve_ktuple(kind.tuple, lo, hi)
-    elif isinstance(kind, Rough):
-        keep = _sieve_rough(kind.y, lo, hi)
-        idx = np.nonzero(keep)[0]
-        support = idx + lo
-        weights = np.ones(len(idx), dtype=np.int64)
-    else:
-        raise UnsupportedError(f"unknown sequence kind {kind!r}")
+    support, weights = kind.window(lo, hi)
     return SievedWindow(kind.label(), lo, hi, support, weights)
 
 
-def _sieve_ktuple(H: KTuple, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    common = None
-    weights = None
-    for a, b in H.forms:
-        vlo, vhi = a * lo + b, a * hi + b
-        if vhi < 2:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        if vhi > MAX_TABLE_LIMIT or vhi - max(vlo, 2) + 1 > MAX_WINDOW:
-            raise ResourceError(
-                f"form {a}n+{b} needs values up to {vhi}; shrink the window"
-            )
-        vsup, vwts = _lambda_window(max(vlo, 2), vhi)
-        keep = (vsup - b) % a == 0
-        ns = (vsup[keep] - b) // a
-        inside = ns >= lo
-        ns, ws = ns[inside], vwts[keep][inside]
-        if common is None:
-            common, weights = ns, ws
-        else:
-            common, ia, ib = np.intersect1d(common, ns, assume_unique=True, return_indices=True)
-            weights = weights[ia] * ws[ib]
-        if len(common) == 0:
-            break
-    return common.astype(np.int64), weights
-
-
-def weight_at(kind: SequenceKind, n: int) -> float | int:
+def weight_at(kind: Family, n: int) -> float | int:
     """Exact single weight a(n); zero for n <= 0 by convention."""
     if n <= 0:
-        return 0.0 if not kind.integer_weights else 0
-    if isinstance(kind, PrimesLambda):
-        fac = as_factored(n).factors
-        return math.log(fac[0][0]) if len(fac) == 1 else 0.0
-    if isinstance(kind, QuadFormMult):
-        w = sieve(kind, n, n).weights
-        return int(w[0]) if len(w) else 0
-    if isinstance(kind, SumTwoSquares):
-        return 1 if all(p % 4 != 3 or e % 2 == 0 for p, e in as_factored(n).factors) else 0
-    if isinstance(kind, KTupleWeight):
-        out = 1.0
-        for a, b in kind.tuple.forms:
-            out *= weight_at(PrimesLambda(), a * n + b)
-            if out == 0.0:
-                return 0.0
-        return out
-    if isinstance(kind, Rough):
-        return 1 if all(p >= kind.y for p, _ in as_factored(n).factors) else 0
-    raise UnsupportedError(f"unknown sequence kind {kind!r}")
+        return 0 if kind.integer_weights else 0.0
+    return kind.weight(n)
 
 
 def _reduce(values) -> float | int:
@@ -275,9 +338,7 @@ def count_A_upto(window: SievedWindow, t) -> float | int:
 
 
 def count_Ad(window: SievedWindow, d: int) -> float | int:
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    return _reduce(window.weights[window.support % d == 0])
+    return count_Aqa(window, d, 0)
 
 
 def count_Aqa(window: SievedWindow, q: int, a: int) -> float | int:
@@ -303,20 +364,8 @@ def dense_weights(window: SievedWindow, size: int | None = None) -> np.ndarray:
     return out
 
 
-def _rough_h_over_d(y: int, d: int) -> Fraction:
-    return Fraction(1, d) if all(p >= y for p, _ in as_factored(d).factors) else Fraction(0)
-
-
-def _two_squares_h_over_d(d: int) -> Fraction:
-    out = Fraction(1, d)
-    for p, e in as_factored(d).factors:
-        if p % 4 == 3 and e % 2 == 1:
-            out *= Fraction(1, p)
-    return out
-
-
 def check_Ad_identity(
-    kind: SequenceKind, x: int, d: int, window: SievedWindow | None = None
+    kind: Family, x: int, d: int, window: SievedWindow | None = None
 ) -> tuple[bool, int, int]:
     """Exact identity: the count of multiples of d equals the plain count at
     a rescaled cutoff h(d)/d * x.  Integer families only.
@@ -325,12 +374,9 @@ def check_Ad_identity(
     many d values."""
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if isinstance(kind, SumTwoSquares):
-        scale = _two_squares_h_over_d(d)
-    elif isinstance(kind, Rough):
-        scale = _rough_h_over_d(kind.y, d)
-    else:
+    if not kind.indicator:
         raise UnsupportedError(f"identity only for indicator families, not {kind.label()}")
+    scale = kind.model().h_of(d) / d
     if window is None:
         window = sieve(kind, 1, x)
     elif window.kind_label != kind.label() or window.lo != 1 or window.hi != x:
@@ -350,21 +396,32 @@ def save_window(window: SievedWindow, path: str):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(window.support.astype("<i8").tobytes())
-        if float_weights:
-            fh.write(window.weights.astype("<f8").tobytes())
-        else:
-            fh.write(window.weights.astype("<i8").tobytes())
+        fh.write(window.weights.astype("<f8" if float_weights else "<i8").tobytes())
 
 
 def load_window(path: str) -> SievedWindow:
+    """Read a cache written by save_window; a malformed file raises
+    DomainError before any record is read."""
     with open(path, "rb") as fh:
-        magic, version, label_len = struct.unpack("<4sII", fh.read(12))
-        if magic != _CACHE_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != _CACHE_MAGIC:
             raise DomainError(f"{path}: not a sieve cache")
+        _, version, label_len = struct.unpack("<4sII", head)
         if version != _CACHE_VERSION:
             raise UnsupportedError(f"{path}: cache version {version}")
-        label = fh.read(label_len).decode("utf-8")
+        header = 12 + label_len + 25
+        if size < header:
+            raise DomainError(f"{path}: {size} bytes, shorter than its {header}-byte header")
+        try:
+            label = fh.read(label_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: label is not UTF-8") from exc
         lo, hi, count, float_weights = struct.unpack("<qqQB", fh.read(25))
+        if size != header + 16 * count:
+            raise DomainError(
+                f"{path}: {size} bytes, but the header promises {header + 16 * count}"
+            )
         support = np.frombuffer(fh.read(8 * count), dtype="<i8").astype(np.int64)
         dtype = "<f8" if float_weights else "<i8"
         weights = np.frombuffer(fh.read(8 * count), dtype=dtype)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import harness as hn
 from . import ktuples as kt

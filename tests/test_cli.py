@@ -65,9 +65,10 @@ def test_discrepancy_writes_csv(tmp_path, capsys):
     assert code == 0
     assert f"report written: {out_path}" in out
     lines = open(out_path).read().splitlines()
-    assert lines[0] == ("config_hash,kind,a,x,M,mode,empirical_sum,"
+    assert lines[0] == ("config_hash,kind,a,x,M,mode,coprime_filter,empirical_sum,"
                         "normalized_avg,predicted,ratio,q_count,runtime_ms")
     assert len(lines) == 2
+    assert lines[1].split(",")[1:7] == ["primes", "1", "10000", "10", "full", "a"]
 
 
 def test_discrepancy_json_and_no_out(tmp_path, capsys):
@@ -92,6 +93,24 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     code, _ = run(capsys, "--config", str(tmp_path / "absent.ini"),
                   "discrepancy", "--M", "50")
     assert code == 2
+
+
+def test_threads_below_one_refused(capsys):
+    for threads in ("0", "-3"):
+        code, out = run(capsys, "discrepancy", "--kind", "primes", "--a", "1",
+                        "--x", "10000", "--M", "10", "--threads", threads)
+        assert code == 2
+        assert "q_count" not in out
+
+
+def test_malformed_cache_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DISCLAB_CACHE_DIR", str(tmp_path))
+    # a header cut after its first 20 bytes
+    (tmp_path / "two_squares.x1000.sieve").write_bytes(b"DLSW\x01\0\0\0\x0b\0\0\0two_squa")
+    code, out = run(capsys, "discrepancy", "--kind", "two_squares", "--a", "5",
+                    "--x", "1000", "--M", "10", "--mode", "dyadic")
+    assert code == 2
+    assert "q_count" not in out
 
 
 def test_sieve_cache_roundtrip(tmp_path, capsys, monkeypatch):
@@ -124,6 +143,14 @@ def test_s5_command(capsys):
                     "--R", "100", "--x", "1000000")
     assert code == 0
     assert "ratio = " in out and "predicted = " not in out
+
+
+def test_s5_refuses_families_without_mu_k_up_front(capsys):
+    for kind in (["--kind", "two_squares"], ["--kind", "quadform", "--form", "1,0,1"]):
+        code, out = run(capsys, "s5", *kind, "--a", "5", "--M", "10",
+                        "--R", "1000", "--x", "100000000")
+        assert code == 2
+        assert "S_R =" not in out
 
 
 def test_quadform_command(capsys):

@@ -58,13 +58,7 @@ def test_config_validation():
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=5.0, mode="half")
     with pytest.raises(ConfigurationError):
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=5.0, coprime_filter="q")
-    with pytest.raises(ConfigurationError):
-        h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=5.0, m_cap=4.0)
-    with pytest.raises(ConfigurationError):
-        h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=10**6, M=10.0, R=5.0)
-    with pytest.raises(ConfigurationError):
-        h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=10**6, M=10.0, R=2000.0)
-    cfg = h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=10**6, M=10.0, R=100.0)
+    cfg = h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=10**6, M=10.0)
     assert len(cfg.config_hash) == 12
 
 

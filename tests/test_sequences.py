@@ -208,9 +208,13 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a cache at all")
-    with pytest.raises(DomainError):
-        sq.load_window(str(path))
+    sq.save_window(sq.sieve(sq.SumTwoSquares(), 1, 1000), str(path))
+    data = path.read_bytes()
+    # not a cache, two headers cut short, a record missing, 16 bytes too many
+    for bad in (b"not a cache at all", data[:5], data[:20], data[:-8], data + bytes(16)):
+        path.write_bytes(bad)
+        with pytest.raises(DomainError):
+            sq.load_window(str(path))
 
 
 def test_negative_weight_convention():
