@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run oracle/identity property suites")
     v.add_argument("suite", nargs="?", default="all",
                    choices=("all", "quadform", "multfn", "ktuples", "identities"))
-    v.add_argument("--deep", action="store_true", help="acceptance-scale grids")
+    v.add_argument("--deep", action="store_true", help="the acceptance checks' grids")
     return top
 
 
@@ -118,7 +118,13 @@ _RESOLVE = {
 }
 
 
-def _apply_config(args: argparse.Namespace):
+def _choices(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> allowed values, for the subcommand's flags that have choices."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.choices for a in subs.choices[command]._actions if a.choices}
+
+
+def _apply_config(args: argparse.Namespace, choices: dict):
     rules = _RESOLVE.get(args.command, {})
     file_vals = {}
     if args.config:
@@ -131,7 +137,13 @@ def _apply_config(args: argparse.Namespace):
     for dest, (cast, default) in rules.items():
         if getattr(args, dest, None) is None:
             if dest in file_vals:
-                setattr(args, dest, cast(file_vals[dest]))
+                value = cast(file_vals[dest])
+                if dest in choices and value not in choices[dest]:
+                    raise ConfigurationError(
+                        f"config file sets {dest} = {value!r}; {args.command} takes "
+                        f"one of {', '.join(choices[dest])}"
+                    )
+                setattr(args, dest, value)
             else:
                 setattr(args, dest, default)
 
@@ -294,10 +306,10 @@ def cmd_verify(args) -> int:
     for suite, res in results:
         status = "ok  " if res.ok else "FAIL"
         print(f"{status} {suite}.{res.name}: {res.cases} cases, "
-              f"{len(res.failures)} failures ({res.seconds:.2f} s)")
+              f"{res.failed} failures ({res.seconds:.2f} s)")
         for text in res.failures:
             print(f"      counterexample: {text}")
-        bad += len(res.failures)
+        bad += res.failed
     print(f"{len(results)} properties, {bad} failing cases")
     return 0 if bad == 0 else 1
 
@@ -316,7 +328,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, _choices(parser, args.command))
         print(_manifest(args))
         return _DISPATCH[args.command](args)
     except ResourceError as exc:

@@ -13,8 +13,10 @@ Everything reduces floats in a fixed order so repeated runs are bit-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import time
@@ -30,7 +32,7 @@ from . import multfn as mf
 from . import sequences as sq
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from .factorint import as_factored, iter_primes, phi
-from .ktuples import KTuple, nu_H
+from .ktuples import KTuple, is_admissible, nu_H
 
 MAX_DENSE = sq.MAX_WINDOW
 _BLOCK = 10**7
@@ -104,116 +106,88 @@ class S5Sums(NamedTuple):
 # local-density arrays
 
 
-def g_range(model: mf.SequenceModel, a, lo: int, hi: int) -> np.ndarray:
-    """g_a(q) for q in [lo, hi], one float per q.
-
-    Multiplicative sieve: every prime power p^e <= hi strides its multiples
-    with the exact local ratio, leftover cofactors are primes above sqrt(hi)
-    and get the bulk h(p) rule (or a per-value fallback).
-    """
-    if lo < 1 or hi < lo:
-        raise DomainError(f"bad range [{lo}, {hi}]")
-    if hi - lo + 1 > _BLOCK + 1:
-        raise ResourceError(f"g_range window [{lo}, {hi}] too wide; use blocks")
-    afac = as_factored(a)
-    n = hi - lo + 1
-    G = np.ones(n, dtype=np.float64)
-    C = np.arange(lo, hi + 1, dtype=np.int64)
-    root = math.isqrt(hi)
-    cache: dict[tuple[int, int], Fraction] = {}
-
-    def gl(p: int, e: int) -> Fraction:
-        key = (p, e)
-        if key not in cache:
-            cache[key] = mf.g_local(model, p, e, afac)
-        return cache[key]
-
-    def stride(p: int):
-        pe = p
-        e = 1
-        while pe <= hi:
-            start = ((lo + pe - 1) // pe) * pe
-            if start > hi:
-                return
-            prev = Fraction(1) if e == 1 else gl(p, e - 1)
-            ratio = 0.0 if prev == 0 else float(gl(p, e) / prev)
-            idx = np.arange(start - lo, n, pe, dtype=np.int64)
-            G[idx] *= ratio
-            C[idx] //= p
-            e += 1
-            pe *= p
-
-    for p in iter_primes(root):
-        stride(p)
-    # primes above sqrt(hi) that still need exact local values: divisors of a
-    # and the model's bad primes
-    explicit = {p for p, _ in afac.factors} | set(model.bad_primes)
-    for p in sorted(explicit):
-        if p > root and p <= hi:
-            stride(p)
-    mask = C > 1
-    if mask.any():
-        P = C[mask]
-        Pf = P.astype(np.float64)
-        if model.h_prime_vec is not None:
-            hp = model.h_prime_vec(P)
-            G[mask] *= (1.0 - hp / Pf) / (Pf - 1.0)
-        else:
-            vals, inverse = np.unique(P, return_inverse=True)
-            if len(vals) > 10**6:
-                raise ResourceError(
-                    f"{len(vals)} distinct large primes and no bulk h rule for "
-                    f"model {model.label}"
-                )
-            table = np.array([float(gl(int(p), 1)) for p in vals])
-            G[mask] *= table[inverse]
-    return G
-
-
-def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
-    """1/(q * gamma_H(q)) for q in [lo, hi]; the tuple analog of g_range."""
+def _check_window(lo: int, hi: int) -> None:
     if lo < 1 or hi < lo:
         raise DomainError(f"bad range [{lo}, {hi}]")
     if hi - lo + 1 > _BLOCK + 1:
         raise ResourceError(f"window [{lo}, {hi}] too wide; use blocks")
+
+
+def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarray:
+    """Product of local factors of each q in [lo, hi], one float per q.
+
+    Every prime power p^e <= hi with p <= sqrt(hi), or p in extra, strides
+    its multiples with ratio(p, e), the factor p^e adds over p^(e-1).  What
+    is left of q is 1 or one prime P above sqrt(hi), which multiplies in
+    leftover(P).
+    """
     n = hi - lo + 1
     G = np.ones(n, dtype=np.float64)
     C = np.arange(lo, hi + 1, dtype=np.int64)
     root = math.isqrt(hi)
-    k = H.k
-
-    def stride(p: int):
-        nu = nu_H(H, p)
-        if nu >= p:
-            raise DomainError(f"tuple covers every class mod {p}")
+    above = (p for p in sorted(extra) if root < p <= hi)
+    for p in itertools.chain(iter_primes(root), above):
         pe, e = p, 1
         while pe <= hi:
             start = ((lo + pe - 1) // pe) * pe
             if start > hi:
-                return
-            ratio = 1.0 / (p - nu) if e == 1 else 1.0 / p
-            idx = np.arange(start - lo, n, pe, dtype=np.int64)
-            G[idx] *= ratio
-            C[idx] //= p
+                break
+            G[start - lo :: pe] *= ratio(p, e)
+            C[start - lo :: pe] //= p
             e += 1
             pe *= p
-
-    deviating = {p for a_i, _ in H.forms for p, _ in as_factored(a_i).factors}
-    for a_i, b_i in H.forms:
-        for a_j, b_j in H.forms:
-            res = a_i * b_j - a_j * b_i
-            if res != 0:
-                deviating |= {p for p, _ in as_factored(res).factors}
-    for p in iter_primes(root):
-        stride(p)
-    for p in sorted(deviating):
-        if p > root and p <= hi:
-            stride(p)
     mask = C > 1
     if mask.any():
-        # leftover primes avoid every a_i and resultant, so nu is exactly k
-        G[mask] *= 1.0 / (C[mask].astype(np.float64) - k)
+        G[mask] *= leftover(C[mask])
     return G
+
+
+def g_range(model: mf.SequenceModel, a, lo: int, hi: int) -> np.ndarray:
+    """g_a(q) for q in [lo, hi], one float per q.
+
+    Prime powers carry the exact local ratio; divisors of a and the model's
+    bad primes above sqrt(hi) are strided exactly too, and the other
+    leftover primes get the bulk h(p) rule (or a per-value fallback).
+    """
+    _check_window(lo, hi)
+    afac = as_factored(a)
+    gl = functools.cache(lambda p, e: mf.g_local(model, p, e, afac))
+
+    def ratio(p: int, e: int) -> float:
+        prev = Fraction(1) if e == 1 else gl(p, e - 1)
+        return 0.0 if prev == 0 else float(gl(p, e) / prev)
+
+    def leftover(P: np.ndarray) -> np.ndarray:
+        Pf = P.astype(np.float64)
+        if model.h_prime_vec is not None:
+            return (1.0 - model.h_prime_vec(P) / Pf) / (Pf - 1.0)
+        vals, inverse = np.unique(P, return_inverse=True)
+        if len(vals) > 10**6:
+            raise ResourceError(
+                f"{len(vals)} distinct large primes and no bulk h rule for "
+                f"model {model.label}"
+            )
+        return np.array([float(gl(int(p), 1)) for p in vals])[inverse]
+
+    extra = {p for p, _ in afac.factors} | set(model.bad_primes)
+    return _multiplicative_sieve(lo, hi, ratio, extra, leftover)
+
+
+def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
+    """1/(q * gamma_H(q)) for q in [lo, hi]; the tuple analog of g_range."""
+    _check_window(lo, hi)
+    if not is_admissible(H):
+        raise DomainError(f"inadmissible tuple {H.label()}")
+    # nu(p) differs from k only at primes dividing some a_i or some resultant
+    pairs = itertools.combinations(H.forms, 2)
+    deviating = [a for a, _ in H.forms] + [a * d - c * b for (a, b), (c, d) in pairs]
+    return _multiplicative_sieve(
+        lo,
+        hi,
+        lambda p, e: 1.0 / (p - nu_H(H, p)) if e == 1 else 1.0 / p,
+        {p for n in deviating for p, _ in as_factored(n).factors},
+        lambda P: 1.0 / (P.astype(np.float64) - H.k),
+    )
 
 
 def _term_array(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:

@@ -13,11 +13,9 @@ from fractions import Fraction
 from disclab import bias
 from disclab import factorint as fi
 from disclab import harness as hn
-from disclab import ktuples as kt
 from disclab import multfn as mf
-from disclab import quadform as qf
 from disclab import sequences as sq
-from disclab.errors import DomainError
+from disclab import verify as vf
 
 _THREADS = min(4, os.cpu_count() or 1)
 
@@ -26,119 +24,30 @@ def _emit(n: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {n}: {detail}")
 
 
+def _criterion(n: int, *props, budget: float = math.inf) -> None:
+    """Run verify properties on their depth-2 grids as one criterion."""
+    results = [vf.check(prop, depth=2) for prop in props]
+    dt = sum(r.seconds for r in results)
+    ok = all(r.ok for r in results) and dt < budget
+    counts = "; ".join(f"{r.name} {r.cases} cases, {r.failed} failures" for r in results)
+    _emit(n, ok, f"{counts}; {dt:.1f} s")
+    assert ok, [text for r in results for text in r.failures]
+
+
 def test_01_residue_counts_closed_equals_brute():
-    forms = [
-        qf.BinaryQuadraticForm(1, 0, 1),
-        qf.BinaryQuadraticForm(2, 1, 3),
-        qf.BinaryQuadraticForm(1, 0, 5),
-        qf.BinaryQuadraticForm(1, 1, 1),
-    ]
-    t0 = time.perf_counter()
-    mismatches = 0
-    checked = 0
-    for form in forms:
-        two_d = 2 * abs(form.disc)
-        for q in range(1, 301):
-            hist = qf.Ra_brute_all(form, q)
-            for a in range(-50, 51):
-                if math.gcd(abs(a), two_d) != 1:
-                    continue
-                checked += 1
-                if qf.Ra_closed(form, a, q) != int(hist[a % q]):
-                    mismatches += 1
-    dt = time.perf_counter() - t0
-    ok = mismatches == 0 and dt < 60.0
-    _emit(
-        1,
-        ok,
-        f"closed vs brute residue counts over {len(forms)} forms, "
-        f"{checked} (form,a,q) triples, {mismatches} mismatches, {dt:.1f} s",
-    )
-    assert ok
+    _criterion(1, vf.ra_closed_equals_brute, budget=60.0)
 
 
 def test_02_residue_mass_identity():
-    forms = [qf.BinaryQuadraticForm(1, 0, 1), qf.BinaryQuadraticForm(2, 1, 3)]
-    bad = 0
-    for form in forms:
-        for q in range(1, 201):
-            if int(qf.Ra_brute_all(form, q).sum()) != q * q:
-                bad += 1
-    ok = bad == 0
-    _emit(2, ok, f"residue counts sum to q^2 for q <= 200, {len(forms)} forms, {bad} failures")
-    assert ok
+    _criterion(2, vf.mass_identity)
 
 
 def test_03_normalization_identity():
-    tables = fi.build_tables(10**4)
-    models = [
-        ("primes", mf.primes_model()),
-        ("quadform(1,0,1)", mf.quadform_model(qf.BinaryQuadraticForm(1, 0, 1))),
-        ("rough(10)", mf.rough_model(10)),
-    ]
-    t0 = time.perf_counter()
-    bad = 0
-    checked = 0
-    for _, model in models:
-        badp = set(model.bad_primes)
-        for q in range(1, 10**4 + 1):
-            fq = fi.factor(q, tables)
-            if any(p in badp for p, _ in fq.factors):
-                continue
-            total = sum(
-                fi.phi(fi.factor(q // d, tables)) * mf.g_a(model, d, fq)
-                for d in fi.divisors(fq)
-            )
-            checked += 1
-            if total != 1:
-                bad += 1
-    dt = time.perf_counter() - t0
-    ok = bad == 0
-    _emit(
-        3,
-        ok,
-        f"sum over d|q of phi(q/d)*g_d(q) == 1 exactly, {checked} supported q across "
-        f"3 density models, {bad} failures, {dt:.1f} s",
-    )
-    assert ok
+    _criterion(3, vf.normalization_identity)
 
 
 def test_04_structural_identities():
-    t0 = time.perf_counter()
-    kinds = [sq.PrimesLambda(), sq.SumTwoSquares(), sq.Rough(7)]
-    failures = []
-    configs = 0
-    for kind in kinds:
-        for x in (10**4, 10**5, 10**6):
-            win = sq.sieve(kind, 1, x)
-            for a in (1, 3, 5):
-                for M in (10, 50):
-                    direct, switched, equal = hn.divisor_switch_check(kind, a, x, M, window=win)
-                    configs += 1
-                    if not equal:
-                        failures.append((kind.label(), a, x, M, direct, switched))
-    ad_bad = 0
-    ts_kind = sq.SumTwoSquares()
-    ts_win = sq.sieve(ts_kind, 1, 10**6)
-    for d in range(1, 101):
-        okd, _, _ = sq.check_Ad_identity(ts_kind, 10**6, d, window=ts_win)
-        if not okd:
-            ad_bad += 1
-    r_kind = sq.Rough(7)
-    r_win = sq.sieve(r_kind, 1, 10**5)
-    for d in range(1, 51):
-        okd, _, _ = sq.check_Ad_identity(r_kind, 10**5, d, window=r_win)
-        if not okd:
-            ad_bad += 1
-    dt = time.perf_counter() - t0
-    ok = not failures and ad_bad == 0
-    _emit(
-        4,
-        ok,
-        f"{configs} divisor-switch configs exact, 150 rescaled-count identities, "
-        f"{len(failures)}+{ad_bad} failures, {dt:.1f} s",
-    )
-    assert ok, failures
+    _criterion(4, vf.divisor_switch_grid, vf.count_scaling_identity)
 
 
 def test_05_mu_closed_form_reproduction():
@@ -260,72 +169,13 @@ def test_08_two_squares_bias_ordering():
 
 
 def test_09_gauss_ramanujan_identities():
-    t0 = time.perf_counter()
-    gauss_bad = 0
-    gauss_checked = 0
-    for q in range(1, 100, 2):
-        g1 = qf.gauss_sum(1, q)
-        gauss_checked += 1
-        if abs(g1 * g1 - fi.kronecker(-1, q) * q) > 1e-9:
-            gauss_bad += 1
-        for m in range(2, q):
-            if math.gcd(m, q) != 1:
-                continue
-            gauss_checked += 1
-            if abs(qf.gauss_sum(m, q) - fi.kronecker(m, q) * g1) > 1e-9:
-                gauss_bad += 1
-    ram_bad = 0
-    pairs = 0
-    for q in range(1, 501):
-        direct = [qf.ramanujan_direct(q, r) for r in range(q)]
-        closed = {g: qf.ramanujan_closed(q, g) for g in fi.divisors(q)}
-        for a in range(-500, 501):
-            g = math.gcd(q, abs(a)) if a != 0 else q
-            pairs += 1
-            if closed[g] != direct[a % q]:
-                ram_bad += 1
-    dt = time.perf_counter() - t0
-    ok = gauss_bad == 0 and ram_bad == 0
-    _emit(
-        9,
-        ok,
-        f"{gauss_checked} quadratic sum identities to 1e-9 (odd q <= 99), "
-        f"{pairs} closed-vs-direct unit-sum pairs exact, {gauss_bad}+{ram_bad} failures, {dt:.1f} s",
-    )
-    assert ok
+    _criterion(9, vf.gauss_sum_identities, vf.ramanujan_closed_vs_direct)
 
 
 def test_10_tuple_local_counts():
-    twin_ok = kt.nu_H(kt.TWIN, 2) == 1
-    for p in fi.iter_primes(50):
-        if p == 2:
-            continue
-        if not (kt.nu_H(kt.TWIN, p) == 2 == kt.nu_H_brute(kt.TWIN, p)):
-            twin_ok = False
-    triple = kt.parse_tuple("1,0;1,2;1,6")
-    reindex_bad = 0
-    cases = 0
-    primes50 = list(fi.iter_primes(50))
-    for H in (kt.TWIN, triple):
-        for q in range(1, 31):
-            for a in range(-10, 11):
-                try:
-                    Hq = kt.modified_tuple(H, q, a)
-                except DomainError:
-                    continue
-                for p in primes50:
-                    cases += 1
-                    want = 0 if q % p == 0 else kt.nu_H(H, p)
-                    if kt.nu_H(Hq, p) != want:
-                        reindex_bad += 1
-    v4, t4 = kt.singular_series(kt.TWIN, 10**4)
-    v6, t6 = kt.singular_series(kt.TWIN, 10**6)
-    trunc_ok = abs(v4 - v6) <= t4 and t6 < t4
-    ok = twin_ok and reindex_bad == 0 and trunc_ok
-    _emit(
+    _criterion(
         10,
-        ok,
-        f"twin local root counts ok={twin_ok}; reindexing identity {cases} cases, "
-        f"{reindex_bad} failures; truncation drift {abs(v4 - v6):.2e} within stated bound {t4:.2e}",
+        vf.nu_rootset_equals_brute,
+        vf.modified_tuple_nu_identity,
+        vf.singular_series_tail_honesty,
     )
-    assert ok

@@ -95,6 +95,22 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_values_checked_against_choices(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    # s5 offers no ktuple kind, so the file may not pick one
+    ini.write_text("[defaults]\nkind = ktuple\n")
+    code = cli.main(["--config", str(ini), "s5", "--a", "1", "--M", "10",
+                     "--R", "100", "--x", "100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "kind = 'ktuple'" in err and "--tuple" not in err
+    ini.write_text("[defaults]\nmode = half\n")
+    code = cli.main(["--config", str(ini), "discrepancy", "--kind", "primes",
+                     "--a", "1", "--x", "10000", "--M", "10"])
+    assert code == 2
+    assert "mode = 'half'" in capsys.readouterr().err
+
+
 def test_threads_below_one_refused(capsys):
     for threads in ("0", "-3"):
         code, out = run(capsys, "discrepancy", "--kind", "primes", "--a", "1",

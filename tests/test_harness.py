@@ -18,20 +18,26 @@ from disclab.quadform import BinaryQuadraticForm
 
 def test_g_range_matches_exact_local_products():
     cases = [
-        (mf.primes_model(), 7),
-        (mf.primes_model(), -12),
-        (mf.two_squares_model(), 21),
-        (mf.rough_model(10), -9),
-        (mf.quadform_model(BinaryQuadraticForm(1, 0, 1)), 5),
+        (mf.primes_model(), 7, 1, 1500),
+        (mf.primes_model(), -12, 1, 1500),
+        (mf.two_squares_model(), 21, 1, 1500),
+        (mf.rough_model(10), -9, 1, 1500),
+        (mf.quadform_model(BinaryQuadraticForm(1, 0, 1)), 5, 1, 1500),
+        (mf.primes_model(), 30, 1000, 1500),
+        (mf.rough_model(10), 7, 997, 1009),
+        # bad prime 23 above sqrt(400)
+        (mf.quadform_model(BinaryQuadraticForm(2, 1, 3)), 1, 200, 400),
+        # the divisor 1009 of a above sqrt(4000)
+        (mf.primes_model(), 3 * 1009, 2001, 4000),
     ]
-    for model, a in cases:
-        G = h.g_range(model, a, 1, 1500)
-        for q in range(1, 1501):
+    for model, a, lo, hi in cases:
+        G = h.g_range(model, a, lo, hi)
+        for q in range(lo, hi + 1):
             exact = float(mf.g_a(model, a, q))
             if exact == 0.0:
-                assert G[q - 1] == 0.0
+                assert G[q - lo] == 0.0
             else:
-                assert G[q - 1] == pytest.approx(exact, rel=1e-12)
+                assert G[q - lo] == pytest.approx(exact, rel=1e-12)
 
 
 def test_g_range_windowed_agrees_with_full():
@@ -42,11 +48,22 @@ def test_g_range_windowed_agrees_with_full():
 
 
 def test_ktuple_term_range_matches_gamma():
-    for H in (kt.TWIN, kt.KTuple(((1, 0), (1, 4), (1, 6)))):
-        T = h.ktuple_term_range(H, 1, 1200)
-        for q in range(1, 1201):
+    cases = [
+        (kt.TWIN, 1, 1200),
+        (kt.KTuple(((1, 0), (1, 4), (1, 6))), 1, 1200),
+        (kt.TWIN, 1000, 1200),
+        # the deviating prime 31 (nu = 1) above sqrt(400)
+        (kt.KTuple(((1, 0), (1, 62))), 200, 400),
+    ]
+    for H, lo, hi in cases:
+        T = h.ktuple_term_range(H, lo, hi)
+        for q in range(lo, hi + 1):
             exact = float(Fraction(1, q) / kt.gamma_H(H, q))
-            assert T[q - 1] == pytest.approx(exact, rel=1e-12)
+            assert T[q - lo] == pytest.approx(exact, rel=1e-12)
+    # nu(2) = 2: refused on every window, not only where 2 is strided
+    for lo, hi in ((1, 2), (10, 10)):
+        with pytest.raises(DomainError):
+            h.ktuple_term_range(kt.KTuple(((1, 0), (1, 1))), lo, hi)
 
 
 def test_config_validation():
