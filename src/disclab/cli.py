@@ -1,8 +1,12 @@
 """Batch front-end: predict, run experiments, verify oracles.
 
-Every run echoes a resolved manifest line (subcommand plus every effective
-parameter, content-hashed) so reports can be traced back to their inputs.
-Config files supply defaults under a [defaults] section; explicit flags win.
+Every run echoes a manifest line: the subcommand and every parameter it
+parsed (each flag dest, sorted, '-' where unset), content-hashed, so reports
+can be traced back to their inputs.  The parser is the one table of flags.
+A config file's [defaults] section becomes the subcommand's defaults: keys
+are flag dests with case kept (M, R, coprime_filter), each cast and checked
+against the choices as its flag is; explicit flags win, and keys the
+subcommand does not have are ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 bad usage or bad parameter,
 3 resource budget exceeded.
@@ -29,6 +33,7 @@ from .errors import (
     ResourceError,
     UnsupportedError,
 )
+from .harness import _fmt
 
 # the flags that carry a family's parameter, named after its field
 _KIND_FLAGS = {
@@ -36,12 +41,6 @@ _KIND_FLAGS = {
     "tuple": {"help": "linear forms 'a1,b1;a2,b2;...'"},
     "y": {"type": int, "help": "roughness cutoff"},
 }
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--a", type=int)
     d.add_argument("--x", type=int)
     d.add_argument("--M", type=float)
-    d.add_argument("--mode", choices=("full", "dyadic"))
-    d.add_argument("--filter", dest="coprime_filter", choices=("none", "a", "P"))
+    d.add_argument("--mode", choices=hn._MODES, default="full")
+    d.add_argument("--filter", dest="coprime_filter", choices=hn._FILTERS, default="none")
     d.add_argument("--out", help="report path (.json for json, else csv)")
     d.add_argument("--threads", type=int)
 
@@ -100,63 +99,48 @@ def _kind_flags(p: argparse.ArgumentParser, flags=tuple(_KIND_FLAGS)):
         p.add_argument(f"--{flag}", **_KIND_FLAGS[flag])
 
 
-# per-subcommand resolvable keys: dest -> (caster from config text, default)
-_RESOLVE = {
-    "predict": {"family": (str, None), "a": (int, None), "M": (float, None),
-                "x": (int, None), "form": (str, None), "tuple": (str, None), "y": (int, None)},
-    "discrepancy": {"kind": (str, None), "a": (int, None), "x": (int, None),
-                    "M": (float, None), "mode": (str, "full"),
-                    "coprime_filter": (str, "none"), "out": (str, None),
-                    "threads": (int, None), "form": (str, None),
-                    "tuple": (str, None), "y": (int, None)},
-    "s5": {"kind": (str, None), "a": (int, None), "M": (float, None),
-           "R": (float, None), "x": (int, None), "form": (str, None), "y": (int, None)},
-    "quadform": {},
-    "sieve-cache": {"kind": (str, None), "x": (int, None), "dir": (str, None),
-                    "form": (str, None), "tuple": (str, None), "y": (int, None)},
-    "verify": {},
-}
-
-
-def _choices(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> allowed values, for the subcommand's flags that have choices."""
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.choices for a in subs.choices[command]._actions if a.choices}
-
-
-def _apply_config(args: argparse.Namespace, choices: dict):
-    rules = _RESOLVE.get(args.command, {})
-    file_vals = {}
-    if args.config:
-        parser = configparser.ConfigParser()
-        read = parser.read(args.config)
-        if not read:
-            raise ConfigurationError(f"config file {args.config!r} not readable")
-        if parser.has_section("defaults"):
-            file_vals = dict(parser.items("defaults"))
-    for dest, (cast, default) in rules.items():
-        if getattr(args, dest, None) is None:
-            if dest in file_vals:
-                value = cast(file_vals[dest])
-                if dest in choices and value not in choices[dest]:
-                    raise ConfigurationError(
-                        f"config file sets {dest} = {value!r}; {args.command} takes "
-                        f"one of {', '.join(choices[dest])}"
-                    )
-                setattr(args, dest, value)
+def _config_defaults(path: str, command: str, sub: argparse.ArgumentParser) -> dict:
+    """The [defaults] values of an ini file for the subcommand's flags, keyed
+    and cast as the subcommand's own actions say; other keys are ignored."""
+    config = configparser.ConfigParser(interpolation=None)  # a '%' is literal
+    config.optionxform = str  # keys are dests, case kept (M, R)
+    try:
+        read = config.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"config file {path!r}: {exc}") from None
+    if not read:
+        raise ConfigurationError(f"config file {path!r} not readable")
+    if not config.has_section("defaults"):
+        return {}
+    file_vals = config["defaults"]
+    values = {}
+    for action in sub._actions:
+        key = action.dest
+        if key not in file_vals:
+            continue
+        try:
+            if action.nargs == 0:  # a switch such as --brute
+                value = file_vals.getboolean(key)
             else:
-                setattr(args, dest, default)
+                value = (action.type or str)(file_vals[key])
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"config file sets {key} = {file_vals[key]!r}: {exc}"
+            ) from None
+        if action.choices and value not in action.choices:
+            raise ConfigurationError(
+                f"config file sets {key} = {value!r}; {command} takes "
+                f"one of {', '.join(action.choices)}"
+            )
+        values[key] = value
+    return values
 
 
 def _manifest(args: argparse.Namespace) -> str:
-    keys = sorted(_RESOLVE.get(args.command, {}))
     parts = [f"command={args.command}"]
-    for k in keys:
-        v = getattr(args, k, None)
-        parts.append(f"{k}={'-' if v is None else _fmt(v)}")
-    if args.command == "verify":
-        parts.append(f"suite={args.suite}")
-        parts.append(f"deep={args.deep}")
+    for k, v in sorted(vars(args).items()):
+        if k not in ("command", "config"):
+            parts.append(f"{k}={'-' if v is None else _fmt(v)}")
     parts.append("determinism=seed-free")
     body = " ".join(parts)
     digest = hashlib.sha256(body.encode()).hexdigest()[:12]
@@ -328,7 +312,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, _choices(parser, args.command))
+        if args.config:
+            # file values become the subcommand's defaults, so flags still win
+            subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub = subs.choices[args.command]
+            sub.set_defaults(**_config_defaults(args.config, args.command, sub))
+            args = parser.parse_args(argv)
         print(_manifest(args))
         return _DISPATCH[args.command](args)
     except ResourceError as exc:

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -64,19 +64,22 @@ class ExperimentConfig:
                 f"coprime_filter must be one of {_FILTERS}, got {self.coprime_filter!r}"
             )
 
+    def provenance(self) -> dict:
+        """config_hash, then the six fields it hashes, in export order."""
+        run = {
+            "kind": self.kind.label(),
+            "a": self.a,
+            "x": self.x,
+            "M": float(self.M),
+            "mode": self.mode,
+            "coprime_filter": self.coprime_filter,
+        }
+        text = "|".join(map(str, run.values()))
+        return {"config_hash": hashlib.sha256(text.encode()).hexdigest()[:12], **run}
+
     @property
     def config_hash(self) -> str:
-        text = "|".join(
-            [
-                self.kind.label(),
-                str(self.a),
-                str(self.x),
-                repr(float(self.M)),
-                self.mode,
-                self.coprime_filter,
-            ]
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        return self.provenance()["config_hash"]
 
     def q_range(self) -> tuple[int, int]:
         hi = int(self.x / self.M)
@@ -322,16 +325,9 @@ def empirical_average(
     else:
         ratio = math.nan
     runtime_ms = int((time.perf_counter() - t0) * 1000)
-    prov = {
-        "config_hash": cfg.config_hash,
-        "kind": cfg.kind.label(),
-        "a": cfg.a,
-        "x": cfg.x,
-        "M": float(cfg.M),
-        "mode": cfg.mode,
-        "coprime_filter": cfg.coprime_filter,
-    }
-    return DiscrepancyReport(empirical, normalized, predicted, ratio, q_count, runtime_ms, prov)
+    return DiscrepancyReport(
+        empirical, normalized, predicted, ratio, q_count, runtime_ms, cfg.provenance()
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -423,84 +419,38 @@ def divisor_switch_check(
 CSV_HEADER = "config_hash,kind,a,x,M,mode,coprime_filter,empirical_sum,normalized_avg,predicted,ratio,q_count,runtime_ms"
 
 
-def _fmt(v: float) -> str:
-    return "%.12g" % v
+def _fmt(v) -> str:
+    return "%.12g" % v if isinstance(v, float) else str(v)
 
 
 def report_to_dict(report: DiscrepancyReport) -> dict:
-    pred = report.predicted
-    return {
-        "provenance": report.provenance,
-        "empirical_sum": report.empirical_sum,
-        "normalized_avg": report.normalized_avg,
-        "predicted": None
-        if pred is None
-        else {
-            "leading_value": pred.leading_value,
-            "logM_exponent": str(pred.logM_exponent),
-            "normalization": pred.normalization,
-            "conditional_on": pred.conditional_on,
-            "zero": pred.zero,
-            "tail_bound": pred.tail_bound,
-            "secondary": pred.secondary,
-        },
-        "ratio": report.ratio,
-        "q_count": report.q_count,
-        "runtime_ms": report.runtime_ms,
-    }
+    data = asdict(report)
+    if report.predicted is not None:
+        data["predicted"]["logM_exponent"] = str(report.predicted.logM_exponent)
+    return data
 
 
 def report_from_dict(data: dict) -> DiscrepancyReport:
     pred = data["predicted"]
-    prediction = None
     if pred is not None:
-        prediction = bias.BiasPrediction(
-            leading_value=pred["leading_value"],
-            logM_exponent=Fraction(pred["logM_exponent"]),
-            normalization=pred["normalization"],
-            conditional_on=pred["conditional_on"],
-            zero=pred["zero"],
-            tail_bound=pred["tail_bound"],
-            secondary=pred.get("secondary"),  # absent from older exports
-        )
-    return DiscrepancyReport(
-        empirical_sum=data["empirical_sum"],
-        normalized_avg=data["normalized_avg"],
-        predicted=prediction,
-        ratio=data["ratio"],
-        q_count=data["q_count"],
-        runtime_ms=data["runtime_ms"],
-        provenance=data["provenance"],
-    )
+        # older exports have no secondary; BiasPrediction defaults it to None
+        exponent = Fraction(pred["logM_exponent"])
+        pred = bias.BiasPrediction(**{**pred, "logM_exponent": exponent})
+    return DiscrepancyReport(**{**data, "predicted": pred})
 
 
 def compare_and_export(report: DiscrepancyReport, path: str, format: str = "csv") -> str:
     """Deterministic single-report export; runtime_ms is the one volatile field."""
     if format not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {format!r}")
-    prov = report.provenance
     if format == "csv":
+        pred = report.predicted.leading_value if report.predicted is not None else math.nan
+        row = {**report.provenance, **vars(report), "predicted": pred}
+        columns = CSV_HEADER.split(",")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        pred = report.predicted.leading_value if report.predicted is not None else math.nan
-        writer.writerow(
-            [
-                prov["config_hash"],
-                prov["kind"],
-                prov["a"],
-                prov["x"],
-                _fmt(prov["M"]),
-                prov["mode"],
-                prov["coprime_filter"],
-                _fmt(report.empirical_sum),
-                _fmt(report.normalized_avg),
-                _fmt(pred),
-                _fmt(report.ratio),
-                report.q_count,
-                report.runtime_ms,
-            ]
-        )
+        writer.writerow(columns)
+        writer.writerow(_fmt(row[k]) for k in columns)
         text = buf.getvalue()
     else:
         text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, UnsupportedError
-from .factorint import factor_general, kronecker, moebius, phi
+from .factorint import factor_general, kronecker
 
 BRUTE_CAP = 5000
 
@@ -212,14 +212,20 @@ def gauss_sum(m: int, q: int) -> complex:
 
 
 def ramanujan_closed(q: int, a: int) -> int:
-    """Ramanujan sum c_q(a) = phi(q) * mu(q/(q,a)) / phi(q/(q,a))."""
+    """Ramanujan sum c_q(a), the product over p^e || q of phi(p^e) if p^e | a,
+    -p^(e-1) if only p^(e-1) | a, and 0 otherwise."""
     if q < 1:
         raise OutOfRangeError(f"modulus must be positive, got {q}")
-    g = math.gcd(q, abs(a)) if a != 0 else q
-    qg = q // g
-    val = Fraction(phi(factor_general(q)) * moebius(factor_general(qg)), phi(factor_general(qg)))
-    assert val.denominator == 1
-    return int(val)
+    val = 1
+    for p, e in factor_general(q).factors:
+        below = p ** (e - 1)
+        if a % (below * p) == 0:
+            val *= below * (p - 1)
+        elif a % below == 0:
+            val *= -below
+        else:
+            return 0
+    return val
 
 
 def ramanujan_direct(q: int, a: int) -> int:

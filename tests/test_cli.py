@@ -40,6 +40,11 @@ def test_manifest_is_deterministic(capsys):
     _, out2 = run(capsys, "predict", "--family", "primes", "--a", "1", "--M", "100")
     assert out1.splitlines()[0] == out2.splitlines()[0]
     assert out1.splitlines()[0].startswith("manifest ")
+    # every parameter is in the manifest, so different runs differ
+    _, out1 = run(capsys, "quadform", "--form", "1,0,1", "--a", "13", "--q", "300")
+    _, out2 = run(capsys, "quadform", "--form", "2,1,3", "--a", "5", "--q", "7")
+    assert out1.splitlines()[0] != out2.splitlines()[0]
+    assert "form=1,0,1" in out1.splitlines()[0] and "q=300" in out1.splitlines()[0]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -90,6 +95,24 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert code == 0
     first = out.splitlines()[0]
     assert "M=50" in first and "x=10000" in first and "kind=primes" in first
+    # keys keep their case, so M and R come from the file too; '%' is literal
+    report = tmp_path / "r%1.csv"
+    ini.write_text(ini.read_text() + f"out = {report}\n")
+    code, out = run(capsys, "--config", str(ini), "discrepancy")
+    assert code == 0
+    assert "M=10 " in out.splitlines()[0] and report.exists()
+    ini.write_text("[defaults]\nkind = primes\na = 1\nx = 1000000\nM = 20\nR = 100\n")
+    code, out = run(capsys, "--config", str(ini), "s5")
+    assert code == 0
+    assert "M=20 R=100 " in out.splitlines()[0] and "S5 = " in out
+    # a switch reads as a boolean
+    for text, brute in (("yes", True), ("false", False)):
+        ini.write_text(f"[defaults]\nbrute = {text}\n")
+        code, out = run(capsys, "--config", str(ini), "quadform", "--form", "1,0,1",
+                        "--a", "5", "--q", "36")
+        assert code == 0
+        assert f"brute={brute} " in out.splitlines()[0]
+        assert ("match = True" in out) == brute
     code, _ = run(capsys, "--config", str(tmp_path / "absent.ini"),
                   "discrepancy", "--M", "50")
     assert code == 2
@@ -109,6 +132,15 @@ def test_config_values_checked_against_choices(tmp_path, capsys):
                      "--a", "1", "--x", "10000", "--M", "10"])
     assert code == 2
     assert "mode = 'half'" in capsys.readouterr().err
+    # a value its flag's type does not parse, and a file with no section,
+    # exit 2 instead of raising
+    for text, named in (("[defaults]\na = abc\n", "a = 'abc'"),
+                        ("a = 1\n", "no section headers")):
+        ini.write_text(text)
+        code = cli.main(["--config", str(ini), "discrepancy", "--kind", "primes",
+                         "--x", "10000", "--M", "10"])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 def test_threads_below_one_refused(capsys):

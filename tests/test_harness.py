@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -252,19 +253,29 @@ def test_divisor_switch_exact():
 
 
 def test_export_csv_deterministic(tmp_path):
-    cfg = h.ExperimentConfig(
-        kind=sq.PrimesLambda(), a=1, x=10**4, M=10.0, coprime_filter="a"
-    )
-    rep = h.empirical_average(cfg)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    h.compare_and_export(rep, str(p1))
-    h.compare_and_export(rep, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    text = p1.read_text()
-    assert text.splitlines()[0] == h.CSV_HEADER
-    # a rerun of the same config differs at most in runtime_ms
-    rep2 = h.empirical_average(cfg)
-    assert dataclasses.replace(rep, runtime_ms=0) == dataclasses.replace(rep2, runtime_ms=0)
+    for cfg in (
+        h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=10**4, M=10.0, coprime_filter="a"),
+        h.ExperimentConfig(
+            kind=sq.KTupleWeight(kt.TWIN), a=-1, x=10**4, M=10.0,
+            mode="dyadic", coprime_filter="P",
+        ),
+    ):
+        rep = h.empirical_average(cfg)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        h.compare_and_export(rep, str(p1))
+        h.compare_and_export(rep, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        header, row = p1.read_text().splitlines()
+        assert header == h.CSV_HEADER
+        fields = next(csv.reader([row]))
+        assert len(fields) == 13
+        assert fields[:7] == [rep.provenance["config_hash"], cfg.kind.label(),
+                              str(cfg.a), str(cfg.x), "10", cfg.mode, cfg.coprime_filter]
+        # a rerun of the same config differs at most in runtime_ms
+        rep2 = h.empirical_average(cfg)
+        assert dataclasses.replace(rep, runtime_ms=0) == dataclasses.replace(rep2, runtime_ms=0)
+    # the twin label holds commas, so the writer quotes it
+    assert f',"{cfg.kind.label()}",' in row
 
 
 def test_export_json_roundtrip(tmp_path):
@@ -278,6 +289,14 @@ def test_export_json_roundtrip(tmp_path):
         back = h.report_from_dict(json.loads(path.read_text()))
         assert back == rep
     assert back.predicted.secondary == -bias.C5
+    # older exports have no secondary
+    data = json.loads(path.read_text())
+    del data["predicted"]["secondary"]
+    older = h.report_from_dict(data)
+    assert older.predicted.secondary is None
+    assert older == dataclasses.replace(
+        rep, predicted=dataclasses.replace(rep.predicted, secondary=None)
+    )
     with pytest.raises(ConfigurationError):
         h.compare_and_export(rep, str(path), format="xml")
 
