@@ -2,9 +2,14 @@
 
 The central object is a closed form for the average bias of a sequence in
 progressions a mod q: a Gamma-regularized power of log M times two local
-products over the primes dividing a (and, for fractional densities, a
-convergent product over the remaining primes).  Family-specific front ends
-reproduce the five worked predictions with their own normalizers.
+products over the primes dividing a, times an Euler product over the
+remaining primes up to P_trunc.  That product's factor (1 - h(p)/p) /
+(1 - 1/p)^k is exactly 1 wherever h(p) = p (1 - (1 - 1/p)^k): at every prime
+for primes (k = 0, h(p) = 0) and at every p >= y for rough(y) (k = 1,
+h(p) = 1).  A model that lists its other primes in tail_primes has only those
+visited; a model that lists none (a fractional k) is walked over every prime
+up to P_trunc.  Family-specific front ends reproduce the five worked
+predictions with their own normalizers.
 """
 
 from __future__ import annotations
@@ -73,6 +78,44 @@ def _is_memory_prime(model: SequenceModel, p: int, f: int) -> bool:
     return f >= 1 and model.h_pp(p, f) == model.h_pp(p, f + 1) / p
 
 
+def _euler_tail(model: SequenceModel, afac, P_trunc: int, acc):
+    """acc times the Euler factors (1 - h(p)/p) / (1 - 1/p)^k over the primes
+    p <= P_trunc that do not divide a, with the summed |log factor| over the
+    last octave (P_trunc/2, P_trunc] as a proxy for the truncated tail.
+
+    Exact (acc a Fraction) for integer k, float for fractional k.  Only the
+    model's tail_primes are visited when it lists them; the factor is exactly
+    1 at every other prime, so leaving those out changes no bit.
+    """
+    k = model.k
+    integer_k = k.denominator == 1
+    declared = model.h.tail_primes
+    if declared is None:
+        primes = iter_primes(P_trunc)
+    else:
+        primes = sorted(p for p in declared if p <= P_trunc)
+    drift = 0.0
+    for p in primes:
+        if afac.value % p == 0:
+            continue
+        diff = 1 - model.h_pp(p, 1) / p
+        base = Fraction(p - 1, p)
+        if integer_k:
+            factor = diff / base**k.numerator
+            if factor == 1:
+                continue
+            fl = abs(math.log(float(factor)))
+        else:
+            factor = float(diff) / float(base) ** float(k)
+            if factor == 1.0:
+                continue
+            fl = abs(math.log(factor))
+        acc *= factor
+        if 2 * p > P_trunc:
+            drift += fl  # drift over the last octave, as a tail proxy
+    return acc, drift
+
+
 def mu_k(
     model: SequenceModel, a, M: float, P_trunc: int = 10**6
 ) -> BiasPrediction:
@@ -119,32 +162,15 @@ def mu_k(
             else:
                 rat *= diff
                 float_part /= float(base) ** float(k)
-    # remaining primes: factor (1 - h(p)/p) / (1 - 1/p)^k, equal to 1 for
-    # families whose density is exactly 1/phi away from a
-    tail = 0.0
-    for p in iter_primes(P_trunc):
-        if afac.value % p == 0:
-            continue
-        diff = 1 - model.h_pp(p, 1) / p
-        base = Fraction(p - 1, p)
-        if integer_k:
-            factor = diff / base**k.numerator
-            if factor == 1:
-                continue
-            rat *= factor
-            fl = abs(math.log(float(factor)))
-        else:
-            factor = float(diff) / float(base) ** float(k)
-            if factor == 1.0:
-                continue
-            float_part *= factor
-            fl = abs(math.log(factor))
-        if 2 * p > P_trunc:
-            tail += fl  # drift over the last octave, as a tail proxy
+    # remaining primes: the walk visits the model's tail_primes up to P_trunc
+    # (every prime if it lists none); elsewhere h(p) = p (1 - (1 - 1/p)^k), so
+    # the factor (1 - h(p)/p) / (1 - 1/p)^k is exactly 1
     if integer_k:
+        rat, tail = _euler_tail(model, afac, P_trunc, rat)
         rat /= math.factorial(s.numerator - 1)  # Gamma at a positive integer
         value = float(rat)
     else:
+        float_part, tail = _euler_tail(model, afac, P_trunc, float_part)
         value = float(rat) / math.gamma(float(s))
     for p in log_primes:
         value *= math.log(p)
@@ -171,21 +197,11 @@ def mu_specialized(model: SequenceModel, a, M: float, P_trunc: int = 10**6) -> B
 
     def other_primes(skip: int | None) -> tuple[Fraction, float]:
         out = Fraction(1)
-        drift = 0.0
         for p, f in afac.factors:
             if p == skip or _is_memory_prime(model, p, f):
                 continue
             out *= _local_diff(model, p, f) / Fraction(p - 1, p) ** kn
-        for p in iter_primes(P_trunc):
-            if afac.value % p == 0:
-                continue
-            factor = (1 - model.h_pp(p, 1) / p) / Fraction(p - 1, p) ** kn
-            if factor == 1:
-                continue
-            out *= factor
-            if 2 * p > P_trunc:
-                drift += abs(math.log(float(factor)))
-        return out, drift
+        return _euler_tail(model, afac, P_trunc, out)
 
     if kn == 0 and omega == 1:
         p0, f0 = next(

@@ -9,13 +9,14 @@ against the choices as its flag is; explicit flags win, and keys the
 subcommand does not have are ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 bad usage or bad parameter,
-3 resource budget exceeded.
+3 resource budget exceeded, 141 (128 + SIGPIPE) standard output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import os
 import sys
@@ -319,7 +320,17 @@ def main(argv=None) -> int:
             sub.set_defaults(**_config_defaults(args.config, args.command, sub))
             args = parser.parse_args(argv)
         print(_manifest(args))
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`| head`): drop the rest without a traceback,
+        # and point its descriptor at the null device so the flush at exit
+        # cannot raise again (a writer without a descriptor has nothing to flush)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,18 +15,24 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .factorint import FactoredInteger, as_factored, factor_general
+from .factorint import FactoredInteger, as_factored, factor_general, iter_primes
 from . import quadform as qf
 
 
 @dataclass(frozen=True)
 class PrimePowerFn:
-    """h on prime powers: eval(p, e) for e >= 1; h(1) = 1 by convention."""
+    """h on prime powers: eval(p, e) for e >= 1; h(1) = 1 by convention.
+
+    tail_primes, when known, is the finite set of primes p at which the Euler
+    factor (1 - h(p)/p) / (1 - 1/p)^k differs from 1; bias.mu_k walks only
+    these.  None means the factor may differ from 1 anywhere.
+    """
 
     eval: Callable[[int, int], Fraction]
     average_k: Fraction
     bad_primes: frozenset
     label: str
+    tail_primes: Optional[frozenset] = None
 
 
 @dataclass(frozen=True)
@@ -143,23 +149,11 @@ def omega_h(model: SequenceModel, a) -> int:
     return count
 
 
-def g_phi_bound(model: SequenceModel, a) -> Fraction:
-    """A constant C with g_a(n) <= C / phi(n) for all n >= 1."""
-    a = as_factored(a)
-    bound = Fraction(1)
-    primes = {p for p, _ in _factors(a)} | set(model.bad_primes)
-    for p in sorted(primes):
-        f = _vp(_factors(a), p)
-        best = Fraction(1)
-        for e in range(1, f + 3):
-            val = g_local(model, p, e, a) * p ** (e - 1) * (p - 1)
-            best = max(best, val)
-        bound *= best
-    return bound
-
-
 # ----------------------------------------------------------------------------
 # concrete models
+
+# largest roughness bound whose tail primes rough_model lists
+_TAIL_SET_MAX = 10**6
 
 
 def primes_model() -> SequenceModel:
@@ -168,7 +162,11 @@ def primes_model() -> SequenceModel:
     def h(p, e):
         return Fraction(0)
 
-    fn = PrimePowerFn(eval=h, average_k=Fraction(0), bad_primes=frozenset(), label="primes")
+    # k = 0 and h(p) = 0: every Euler factor is exactly 1
+    fn = PrimePowerFn(
+        eval=h, average_k=Fraction(0), bad_primes=frozenset(), label="primes",
+        tail_primes=frozenset(),
+    )
     return SequenceModel(h=fn, label="primes", h_prime_vec=lambda P: np.zeros(len(P)))
 
 
@@ -222,7 +220,15 @@ def rough_model(y: int) -> SequenceModel:
     def h(p, e):
         return Fraction(1) if p >= y else Fraction(0)
 
-    fn = PrimePowerFn(eval=h, average_k=Fraction(1), bad_primes=frozenset(), label=f"rough_{y}")
+    # k = 1: the Euler factor is p/(p - 1) below y and exactly 1 from y on.
+    # Past _TAIL_SET_MAX (the default P_trunc of bias.mu_k) the set holds
+    # every prime the default walk visits: it would save nothing and cost
+    # memory growing with y.
+    tail = frozenset(iter_primes(y - 1)) if y <= _TAIL_SET_MAX else None
+    fn = PrimePowerFn(
+        eval=h, average_k=Fraction(1), bad_primes=frozenset(), label=f"rough_{y}",
+        tail_primes=tail,
+    )
     return SequenceModel(
         h=fn, label=f"rough_{y}", h_prime_vec=lambda P: np.where(P >= y, 1.0, 0.0)
     )

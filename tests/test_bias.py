@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -63,6 +64,44 @@ def test_mu_matches_specialized():
                 assert v1.leading_value == v2.leading_value, (model.label, a, M)
                 assert v1.logM_exponent == v2.logM_exponent
                 assert v1.zero == v2.zero
+
+
+DECLARING = [PRIMES] + [mf.rough_model(y) for y in (2, 3, 7, 10, 30)]
+TAIL_SHIFTS = [s * a for a in range(1, 31) for s in (1, -1)] + [143, 211, 9973 * 2]
+
+
+def _undeclared(model):
+    """The same model with tail_primes removed: the tail walks every prime."""
+    return dataclasses.replace(model, h=dataclasses.replace(model.h, tail_primes=None))
+
+
+def test_tail_primes_are_where_the_euler_factor_is_not_1():
+    for model in DECLARING:
+        kn = model.k.numerator
+        for p in iter_primes(10**5):
+            factor = (1 - model.h_pp(p, 1) / p) / Fraction(p - 1, p) ** kn
+            assert (factor != 1) == (p in model.h.tail_primes), (model.label, p)
+
+
+@pytest.mark.parametrize("P_trunc, shifts, Ms", [
+    (10**3, TAIL_SHIFTS, (10.0, 1000.0)),
+    # the full walk costs 0.08 s per call here, so a sample of the shifts
+    (10**5, (1, -3, 9, 143, 211, 9973 * 2), (1000.0,)),
+])
+def test_declared_tail_matches_full_walk(P_trunc, shifts, Ms):
+    drifts = 0
+    # rough(700) has tail primes in the last octave of P_trunc = 1e3, where
+    # they feed tail_bound
+    for model in DECLARING + [mf.rough_model(700)]:
+        full = _undeclared(model)
+        for a in shifts:
+            for M in Ms:
+                for mu in (bias.mu_k, bias.mu_specialized):
+                    v = mu(model, a, M, P_trunc)
+                    assert v == mu(full, a, M, P_trunc), (model.label, a, M, mu.__name__)
+                    drifts += v.tail_bound > 0.0
+    # rough(700) at a = +-1, per M and routine
+    assert drifts == (2 * len(Ms) * 2 if P_trunc == 10**3 else 0)
 
 
 def test_pole_semantics():

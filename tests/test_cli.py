@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -212,3 +214,18 @@ def test_verify_command(capsys):
     assert code == 0
     assert "0 failing cases" in out
     assert "modified_tuple_nu_identity" in out
+
+
+def _broken_pipe(*_):
+    raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, method):
+    # the reader of stdout has gone (`| head`): unbuffered output fails on
+    # write, block-buffered output only when flushed
+    out = io.StringIO()
+    setattr(out, method, _broken_pipe)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["verify", "ktuples"]) == 141
+    assert capsys.readouterr().err == ""

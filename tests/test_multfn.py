@@ -182,17 +182,6 @@ def test_omega_h_examples(models):
     assert mf.omega_h(r, 22) == 1
 
 
-def test_g_phi_bound(models, tables):
-    for name, m in models.items():
-        for a in [1, 5, 12, 21, -9]:
-            if name == "quadform" and math.gcd(a, 8) != 1:
-                continue
-            c = mf.g_phi_bound(m, a)
-            for n in range(1, 10**4 + 1, 7):
-                nf = factor(n, tables)
-                assert mf.g_a(m, a, nf) <= c / phi(nf), (name, a, n)
-
-
 def test_h_of_two_squares(models):
     m = models["two_squares"]
     assert m.h_of(3) == Fraction(1, 3)
