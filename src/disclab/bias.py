@@ -8,8 +8,9 @@ remaining primes up to P_trunc.  That product's factor (1 - h(p)/p) /
 for primes (k = 0, h(p) = 0) and at every p >= y for rough(y) (k = 1,
 h(p) = 1).  A model that lists its other primes in tail_primes has only those
 visited; a model that lists none (a fractional k) is walked over every prime
-up to P_trunc.  Family-specific front ends reproduce the five worked
-predictions with their own normalizers.
+up to P_trunc.  Each family's predict (sequences) states its worked
+prediction with its own normalizer, from the constants and quadratures here;
+predict_example reaches it by name.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.special import digamma as _digamma
 
-from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
+from .errors import ConfigurationError, DomainError, UnsupportedError
 from .factorint import as_factored, iter_primes, kronecker
-from .ktuples import TWIN, KTuple, P_of, is_admissible, nu_H
+from .ktuples import KTuple
 from .multfn import SequenceModel, omega_h
-from .quadform import BinaryQuadraticForm, r_d, rho_a
+from .quadform import BinaryQuadraticForm
 from . import sequences as sq
 
 
@@ -62,12 +63,19 @@ class BiasPrediction:
             raise DomainError("zero flag inconsistent with leading_value")
 
 
-def _require_generic(model: SequenceModel):
+def _require_generic(model: SequenceModel, a, M: float, P_trunc: int):
+    """The refusals mu_k and mu_specialized share, made before any work."""
     if model.bad_primes:
         raise UnsupportedError(
             f"model {model.label} has bad primes {sorted(model.bad_primes)}; "
-            "use predict_example for its family"
+            "use its family's predict"
         )
+    if M <= 1:
+        raise DomainError(f"M must be > 1, got {M}")
+    if P_trunc < 10**3:
+        raise ConfigurationError(f"P_trunc={P_trunc} too small")
+    if a == 0:
+        raise DomainError("a must be nonzero")
 
 
 def _local_diff(model: SequenceModel, p: int, f: int) -> Fraction:
@@ -125,11 +133,7 @@ def mu_k(
     only floats are log p, log M, and Gamma at fractional arguments, so
     integer-density families reproduce their closed forms bit for bit.
     """
-    _require_generic(model)
-    if M <= 1:
-        raise DomainError(f"M must be > 1, got {M}")
-    if P_trunc < 10**3:
-        raise ConfigurationError(f"P_trunc={P_trunc} too small")
+    _require_generic(model, a, M, P_trunc)
     afac = as_factored(a)
     k = model.k
     omega = omega_h(model, afac)
@@ -182,9 +186,7 @@ def mu_k(
 def mu_specialized(model: SequenceModel, a, M: float, P_trunc: int = 10**6) -> BiasPrediction:
     """Integer-density shortcuts: the three-case k=0 form, the single-product
     k=1 form, and the identically-zero k >= 2 form."""
-    _require_generic(model)
-    if M <= 1:
-        raise DomainError(f"M must be > 1, got {M}")
+    _require_generic(model, a, M, P_trunc)
     k = model.k
     if k.denominator != 1:
         raise UnsupportedError(f"density exponent {k} is not an integer; use mu_k")
@@ -254,19 +256,6 @@ def L_one_chi(d: int) -> float:
     return float(-(chi * _digamma(rs / P)).sum() / P)
 
 
-def _rough_density(y: int, x: int) -> float:
-    """Exact count of y-rough n <= x, divided by x."""
-    if x > 10**8:
-        raise ResourceError(f"x={x} too large for an exact rough-density count")
-    total = 0
-    lo = 1
-    while lo <= x:
-        hi = min(lo + sq.MAX_WINDOW - 1, x)
-        total += sq.count_A(sq.sieve(sq.Rough(y), lo, hi))
-        lo = hi + 1
-    return total / x
-
-
 def predict_example(
     family: str,
     a: int,
@@ -277,101 +266,13 @@ def predict_example(
     tuple: KTuple | None = None,
     y: int | None = None,
 ) -> BiasPrediction:
-    """Closed-form prediction for one of the five worked families, stated in
-    the family's own normalization."""
+    """Closed-form prediction for a family by name (sequences.family_named),
+    stated in the family's own normalization."""
     if a == 0:
         raise DomainError("a must be nonzero")
     if M <= 1:
         raise DomainError(f"M must be > 1, got {M}")
-    if family == "primes":
-        norm = "1/((phi(a)/a)(x/M)); q <= x/M with gcd(q,a)=1"
-        fac = as_factored(a).factors
-        if abs(a) == 1:
-            return BiasPrediction(
-                -0.5 * math.log(M), Fraction(1), norm, None, False, secondary=-C5
-            )
-        if len(fac) == 1:
-            return BiasPrediction(-0.5 * math.log(fac[0][0]), Fraction(0), norm, None, False)
-        return BiasPrediction(0.0, Fraction(0), norm, None, True)
-
-    if family == "quadform":
-        if form is None:
-            raise DomainError("quadform family needs form=")
-        d = form.disc
-        if math.gcd(a, 2 * d) != 1:
-            raise DomainError(f"need gcd(a, 2d) = 1; a={a}, d={d}")
-        norm = "1/(x/M); q <= x/M"
-        C_Q = area_unit_region(form) / (2 * L_one_chi(d))
-        rho = rho_a(form, a, 4 * abs(d))
-        value = -C_Q * float(rho) * r_d(d, abs(a))
-        if value == 0.0:
-            value = 0.0  # normalize the sign of zero
-        return BiasPrediction(value, Fraction(0), norm, None, value == 0.0)
-
-    if family == "two_squares":
-        if a % 4 != 1:
-            raise DomainError(f"need a = 1 mod 4, got {a}")
-        if x is None or x <= M:
-            raise DomainError("two_squares prediction needs x > M")
-        norm = "1/(x/2M); x/2M < q <= x/M"
-        l_a = sum(
-            1 for p, f in as_factored(a).factors if p % 4 == 3 and f % 2 == 1
-        )
-        if l_a > 0:
-            # below the square-root-of-log order: leading term vanishes
-            return BiasPrediction(0.0, Fraction(1, 2) - l_a, norm, None, True)
-        value = -1 / (2 * math.pi) * math.sqrt(math.log(M) / math.log(x))
-        return BiasPrediction(value, Fraction(1, 2), norm, None, False)
-
-    if family in ("twin", "ktuple"):
-        H = TWIN if family == "twin" else tuple
-        if H is None:
-            raise DomainError("ktuple family needs tuple=")
-        if not is_admissible(H):
-            raise DomainError(f"inadmissible tuple {H.label()}")
-        P = P_of(a, H)
-        if P == 0:
-            raise DomainError("P(a;H) = 0: shift lands on a form root")
-        norm = "1/((phi(P)/P)(x/2M)); x/2M < q <= x/M with gcd(q,P)=1"
-        cond = "Hardy-Littlewood"
-        fac = as_factored(P).factors
-        omega = len(fac)
-        k = H.k
-        if omega > k:
-            return BiasPrediction(0.0, Fraction(0), norm, cond, True)
-        value = -1.0 / (2 * math.factorial(k - omega))
-        for p, _ in fac:
-            value *= (p - nu_H(H, p)) / (p - 1) * math.log(p)
-        value *= math.log(M) ** (k - omega)
-        return BiasPrediction(value, Fraction(k - omega), norm, cond, value == 0.0)
-
-    if family == "rough":
-        if y is None or y < 2:
-            raise DomainError("rough family needs y >= 2")
-        if x is None or x <= max(M, 16):
-            raise DomainError("rough prediction needs x > max(M, 16)")
-        norm = "1/((phi(a)/a)(x/2M)); x/2M < q <= x/M with gcd(q,a)=1"
-        small = math.log(y) <= math.log(M) ** 0.4
-        llx = math.log(math.log(math.log(x)))
-        large = y >= math.log(x) ** llx and y <= math.sqrt(x)
-        if small:
-            if abs(a) == 1:
-                return BiasPrediction(-0.5, Fraction(0), norm, None, False)
-            return BiasPrediction(0.0, Fraction(0), norm, None, True)
-        if large:
-            dens = _rough_density(y, int(x))
-            fac = as_factored(a).factors
-            if abs(a) == 1:
-                return BiasPrediction(dens * math.log(M), Fraction(1), norm, None, False)
-            if len(fac) == 1:
-                v = dens * math.log(fac[0][0])
-                return BiasPrediction(v, Fraction(0), norm, None, False)
-            return BiasPrediction(0.0, Fraction(0), norm, None, True)
-        raise UnsupportedError(
-            f"y={y} is in the intermediate range at M={M}, x={x}: no prediction"
-        )
-
-    raise DomainError(f"unknown family {family!r}")
+    return sq.family_named(family, form=form, tuple=tuple, y=y).predict(a, M, x)
 
 
 def predict_s5(family: str, a: int, M: float, R: float) -> float:

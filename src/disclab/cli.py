@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="closed-form bias prediction for one family")
-    p.add_argument("--family", choices=("primes", "quadform", "two_squares", "twin", "ktuple", "rough"))
+    p.add_argument("--family", choices=(*sq.FAMILIES, *sq.ALIASES))
     p.add_argument("--a", type=int)
     p.add_argument("--M", type=float)
     p.add_argument("--x", type=int)
@@ -249,7 +249,7 @@ def cmd_s5(args) -> int:
         expected = bias.predict_s5(kind.name, args.a, args.M, args.R)
     except UnsupportedError:
         return 0
-    secondary = bias.predict_example(kind.name, args.a, args.M).secondary
+    secondary = kind.predict(args.a, args.M).secondary
     print(f"secondary = {_fmt(secondary)}")
     print(f"predicted = {_fmt(expected)}")
     print(f"residual = {_fmt(sums.S5 * args.M - expected)}")

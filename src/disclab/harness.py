@@ -32,7 +32,7 @@ from . import multfn as mf
 from . import sequences as sq
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from .factorint import as_factored, iter_primes, phi
-from .ktuples import KTuple, is_admissible, nu_H
+from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
 MAX_DENSE = sq.MAX_WINDOW
 _BLOCK = 10**7
@@ -181,14 +181,11 @@ def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
     _check_window(lo, hi)
     if not is_admissible(H):
         raise DomainError(f"inadmissible tuple {H.label()}")
-    # nu(p) differs from k only at primes dividing some a_i or some resultant
-    pairs = itertools.combinations(H.forms, 2)
-    deviating = [a for a, _ in H.forms] + [a * d - c * b for (a, b), (c, d) in pairs]
     return _multiplicative_sieve(
         lo,
         hi,
         lambda p, e: 1.0 / (p - nu_H(H, p)) if e == 1 else 1.0 / p,
-        {p for n in deviating for p, _ in as_factored(n).factors},
+        deviating_primes(H),
         lambda P: 1.0 / (P.astype(np.float64) - H.k),
     )
 
@@ -239,9 +236,8 @@ def _prediction(cfg: ExperimentConfig) -> Optional[bias.BiasPrediction]:
     kind = cfg.kind
     route = kind.routes.get((cfg.coprime_filter, cfg.mode))
     try:
-        if route == "example":
-            # a family's fields are the keywords of its closed form
-            return bias.predict_example(kind.name, cfg.a, cfg.M, cfg.x, **vars(kind))
+        if route == "predict":
+            return kind.predict(cfg.a, cfg.M, cfg.x)
         if route == "mu_k":
             return bias.mu_k(kind.model(), cfg.a, cfg.M)
     except (DomainError, UnsupportedError):
@@ -265,7 +261,6 @@ def empirical_average(
     cfg: ExperimentConfig,
     window: Optional[sq.SievedWindow] = None,
     threads: int = 1,
-    subtract_point_mass: bool = True,
 ) -> DiscrepancyReport:
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
 
@@ -289,7 +284,7 @@ def empirical_average(
 
     q_lo, q_hi = cfg.q_range()
     pm = 0.0
-    if subtract_point_mass and 0 < cfg.a <= cfg.x:
+    if 0 < cfg.a <= cfg.x:
         pm = float(sq.weight_at(cfg.kind, cfg.a))
 
     if q_hi < q_lo:

@@ -8,10 +8,10 @@ density constant is the Euler product of (1 - nu(p)/p)(1 - 1/p)^(-k).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError
 from .factorint import as_factored, factor_general, iter_primes
@@ -103,17 +103,13 @@ def is_admissible(H: KTuple) -> bool:
     return True
 
 
-def _deviation_bound(H: KTuple) -> int:
-    """Product whose prime divisors are the only p with nu(p) != k."""
-    d = 1
-    for a, _ in H.forms:
-        d *= a
-    forms = H.forms
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            r = forms[i][0] * forms[j][1] - forms[j][0] * forms[i][1]
-            d *= abs(r)
-    return d
+def deviating_primes(H: KTuple) -> list[int]:
+    """The only primes where nu(p) can differ from k, in increasing order:
+    those dividing some a_i or some resultant a_i*b_j - a_j*b_i (nonzero for
+    an admissible tuple)."""
+    pairs = itertools.combinations(H.forms, 2)
+    values = [a for a, _ in H.forms] + [a * d - c * b for (a, b), (c, d) in pairs]
+    return sorted({p for n in values for p, _ in as_factored(n).factors})
 
 
 def singular_series(H: KTuple, P_max: int) -> tuple[float, float]:
@@ -134,11 +130,10 @@ def singular_series(H: KTuple, P_max: int) -> tuple[float, float]:
     value = math.exp(math.fsum(logs))
     # Tail: for p > P_max >= 2k with nu(p) = k the log-factor is
     # O(k^2/p^2); summed over p > P_max this is below k*k/P_max.  The
-    # finitely many larger primes where nu(p) < k all divide the deviation
-    # product; each contributes at most 2k/p.
+    # finitely many larger primes where nu(p) < k are all deviating primes;
+    # each contributes at most 2k/p.
     tau = k * k / P_max
-    dev = _deviation_bound(H)
-    for p, _ in factor_general(dev).factors:
+    for p in deviating_primes(H):
         if p > P_max:
             tau += 2 * k / p
     tail_bound = value * math.expm1(tau)
@@ -174,47 +169,3 @@ def gamma_H(H: KTuple, q: int) -> Fraction:
     for p, _ in factor_general(q).factors:
         out *= Fraction(p - nu_H(H, p), p)
     return out
-
-
-@dataclass(frozen=True)
-class TwinBiasClass:
-    """Leading-term classification of the twin-pair average at shift a.
-
-    The predicted average is coeff * (log M)^logM_power; bounded=True marks
-    the O(M^(-delta)) regime where only a size class is asserted.
-    """
-
-    a: int
-    P: int
-    omega: int
-    label: str
-    coeff: float
-    logM_power: int
-    bounded: bool
-
-
-@lru_cache(maxsize=None)
-def twin_bias_class(a: int) -> TwinBiasClass:
-    """Classify the shift a for the twin tuple {n, n+2}."""
-    if a in (0, -2):
-        raise DomainError("a(a+2) = 0: shift lands on a form root")
-    P = P_of(a, TWIN)
-    fac = as_factored(P).factors
-    omega = len(fac)
-    if a == -1:
-        label = "a=-1"
-    elif a in (1, -3):
-        label = "a=1 or -3"
-    elif a in (2, -4):
-        label = "a=2 or -4"
-    elif omega == 2:
-        label = "P=+-p^e*q^f"
-    else:
-        label = "bounded"
-    if omega > 2:
-        return TwinBiasClass(a, P, omega, label, 0.0, 0, True)
-    coeff = -1.0 / (2 * math.factorial(2 - omega))
-    for p, _ in fac:
-        nu = nu_H(TWIN, p)
-        coeff *= (p - nu) / (p - 1) * math.log(p)
-    return TwinBiasClass(a, P, omega, label, coeff, 2 - omega, False)

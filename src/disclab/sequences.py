@@ -4,6 +4,7 @@ Five weighted sequences share one interface (Family, registered by name in
 FAMILIES): prime powers with log weights, values of a positive definite
 quadratic form, the sum-of-two-squares indicator, products of log-prime
 weights over a linear-form tuple, and integers free of small prime factors.
+Each carries its worked closed-form prediction (Family.predict).
 A sieve materializes one window [lo, hi] as sparse (support, weight) arrays;
 counting helpers sum them over divisibility or residue conditions.
 """
@@ -13,16 +14,18 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from . import bias
 from . import multfn as mf
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from .factorint import MAX_TABLE_LIMIT, as_factored, iter_primes, spf_window
-from .ktuples import KTuple, P_of, is_admissible, parse_tuple
-from .quadform import BinaryQuadraticForm, parse_form
+from .ktuples import TWIN, KTuple, P_of, is_admissible, nu_H, parse_tuple
+from .quadform import BinaryQuadraticForm, parse_form, r_d, rho_a
 
 # widest dense window a single sieve call may allocate
 MAX_WINDOW = 6 * 10**7
@@ -35,15 +38,17 @@ class Family:
     """One weighted sequence, described once.
 
     A family defines window(lo, hi), its support and weights over a window
-    sieve() has checked.  Its dataclass field, if any, is its parameter; the
-    field's name is also its command-line flag (read by parse) and its
-    keyword in bias.predict_example, whose family is name.  Class attributes
-    declare the rest: integer_weights; indicator (0/1 weights, for which
-    check_Ad_identity holds); required_filter, the one coprimality filter
-    its runs take; norm_filters, the filters under which averages are
-    normalized by (phi(b)/b) x/M, b the filter's base (1, |a| or |P(a;H)|),
-    instead of A(x)/M; and routes, (filter, mode) -> "example"
-    (bias.predict_example) or "mu_k" (bias.mu_k on model()).
+    sieve() has checked, and predict(a, M, x=None), its worked closed form
+    as a bias.BiasPrediction in its own normalization (a != 0 and M > 1
+    checked by the caller).  Its dataclass field, if any, is its parameter;
+    the field's name is also its command-line flag (read by parse) and its
+    keyword in family_named.  Class attributes declare the rest:
+    integer_weights; indicator (0/1 weights, for which check_Ad_identity
+    holds); required_filter, the one coprimality filter its runs take;
+    norm_filters, the filters under which averages are normalized by
+    (phi(b)/b) x/M, b the filter's base (1, |a| or |P(a;H)|), instead of
+    A(x)/M; and routes, (filter, mode) -> "predict" (predict) or "mu_k"
+    (bias.mu_k on model()).
     """
 
     name: ClassVar[str]
@@ -75,7 +80,7 @@ class PrimesLambda(Family):
     name = "primes"
     integer_weights = False
     norm_filters = ("a",)
-    routes = {("a", "full"): "example", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
+    routes = {("a", "full"): "predict", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
 
     def window(self, lo, hi):
         return _lambda_window(lo, hi)
@@ -87,6 +92,17 @@ class PrimesLambda(Family):
     def model(self):
         return mf.primes_model()
 
+    def predict(self, a, M, x=None):
+        norm = "1/((phi(a)/a)(x/M)); q <= x/M with gcd(q,a)=1"
+        fac = as_factored(a).factors
+        if abs(a) == 1:
+            return bias.BiasPrediction(
+                -0.5 * math.log(M), Fraction(1), norm, None, False, secondary=-bias.C5
+            )
+        if len(fac) == 1:
+            return bias.BiasPrediction(-0.5 * math.log(fac[0][0]), Fraction(0), norm, None, False)
+        return bias.BiasPrediction(0.0, Fraction(0), norm, None, True)
+
 
 @dataclass(frozen=True)
 class QuadFormMult(Family):
@@ -95,7 +111,7 @@ class QuadFormMult(Family):
     name = "quadform"
     integer_weights = True
     norm_filters = ("none",)
-    routes = {("none", "full"): "example"}
+    routes = {("none", "full"): "predict"}
     parse = staticmethod(parse_form)
 
     def label(self) -> str:
@@ -113,6 +129,18 @@ class QuadFormMult(Family):
     def model(self):
         return mf.quadform_model(self.form)
 
+    def predict(self, a, M, x=None):
+        d = self.form.disc
+        if math.gcd(a, 2 * d) != 1:
+            raise DomainError(f"need gcd(a, 2d) = 1; a={a}, d={d}")
+        norm = "1/(x/M); q <= x/M"
+        C_Q = bias.area_unit_region(self.form) / (2 * bias.L_one_chi(d))
+        rho = rho_a(self.form, a, 4 * abs(d))
+        value = -C_Q * float(rho) * r_d(d, abs(a))
+        if value == 0.0:
+            value = 0.0  # normalize the sign of zero
+        return bias.BiasPrediction(value, Fraction(0), norm, None, value == 0.0)
+
 
 @dataclass(frozen=True)
 class SumTwoSquares(Family):
@@ -120,7 +148,7 @@ class SumTwoSquares(Family):
     integer_weights = True
     indicator = True
     norm_filters = ("none",)
-    routes = {("none", "dyadic"): "example"}
+    routes = {("none", "dyadic"): "predict"}
 
     def window(self, lo, hi):
         idx = np.nonzero(_form_counts(BinaryQuadraticForm(1, 0, 1), lo, hi))[0]
@@ -128,6 +156,21 @@ class SumTwoSquares(Family):
 
     def model(self):
         return mf.two_squares_model()
+
+    def predict(self, a, M, x=None):
+        if a % 4 != 1:
+            raise DomainError(f"need a = 1 mod 4, got {a}")
+        if x is None or x <= M:
+            raise DomainError("two_squares prediction needs x > M")
+        norm = "1/(x/2M); x/2M < q <= x/M"
+        l_a = sum(
+            1 for p, f in as_factored(a).factors if p % 4 == 3 and f % 2 == 1
+        )
+        if l_a > 0:
+            # below the square-root-of-log order: leading term vanishes
+            return bias.BiasPrediction(0.0, Fraction(1, 2) - l_a, norm, None, True)
+        value = -1 / (2 * math.pi) * math.sqrt(math.log(M) / math.log(x))
+        return bias.BiasPrediction(value, Fraction(1, 2), norm, None, False)
 
 
 @dataclass(frozen=True)
@@ -138,7 +181,7 @@ class KTupleWeight(Family):
     integer_weights = False
     required_filter = "P"
     norm_filters = ("P",)
-    routes = {("P", "dyadic"): "example"}
+    routes = {("P", "dyadic"): "predict"}
     parse = staticmethod(parse_tuple)
 
     def __post_init__(self):
@@ -184,6 +227,24 @@ class KTupleWeight(Family):
     def P(self, a):
         return P_of(a, self.tuple)
 
+    def predict(self, a, M, x=None):
+        H = self.tuple
+        P = P_of(a, H)
+        if P == 0:
+            raise DomainError("P(a;H) = 0: shift lands on a form root")
+        norm = "1/((phi(P)/P)(x/2M)); x/2M < q <= x/M with gcd(q,P)=1"
+        cond = "Hardy-Littlewood"
+        fac = as_factored(P).factors
+        omega = len(fac)
+        k = H.k
+        if omega > k:
+            return bias.BiasPrediction(0.0, Fraction(0), norm, cond, True)
+        value = -1.0 / (2 * math.factorial(k - omega))
+        for p, _ in fac:
+            value *= (p - nu_H(H, p)) / (p - 1) * math.log(p)
+        value *= math.log(M) ** (k - omega)
+        return bias.BiasPrediction(value, Fraction(k - omega), norm, cond, value == 0.0)
+
 
 @dataclass(frozen=True)
 class Rough(Family):
@@ -193,7 +254,7 @@ class Rough(Family):
     integer_weights = True
     indicator = True
     norm_filters = ("a",)
-    routes = {("a", "dyadic"): "example", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
+    routes = {("a", "dyadic"): "predict", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
     parse = staticmethod(int)
 
     def __post_init__(self):
@@ -214,11 +275,66 @@ class Rough(Family):
     def model(self):
         return mf.rough_model(self.y)
 
+    def density(self, x: int) -> float:
+        """Exact count of y-rough n <= x, divided by x."""
+        if x > 10**8:
+            raise ResourceError(f"x={x} too large for an exact rough-density count")
+        total = 0
+        lo = 1
+        while lo <= x:
+            hi = min(lo + MAX_WINDOW - 1, x)
+            total += count_A(sieve(self, lo, hi))
+            lo = hi + 1
+        return total / x
+
+    def predict(self, a, M, x=None):
+        if x is None or x <= max(M, 16):
+            raise DomainError("rough prediction needs x > max(M, 16)")
+        y = self.y
+        norm = "1/((phi(a)/a)(x/2M)); x/2M < q <= x/M with gcd(q,a)=1"
+        small = math.log(y) <= math.log(M) ** 0.4
+        llx = math.log(math.log(math.log(x)))
+        large = y >= math.log(x) ** llx and y <= math.sqrt(x)
+        if small:
+            if abs(a) == 1:
+                return bias.BiasPrediction(-0.5, Fraction(0), norm, None, False)
+            return bias.BiasPrediction(0.0, Fraction(0), norm, None, True)
+        if large:
+            dens = self.density(int(x))
+            fac = as_factored(a).factors
+            if abs(a) == 1:
+                return bias.BiasPrediction(dens * math.log(M), Fraction(1), norm, None, False)
+            if len(fac) == 1:
+                v = dens * math.log(fac[0][0])
+                return bias.BiasPrediction(v, Fraction(0), norm, None, False)
+            return bias.BiasPrediction(0.0, Fraction(0), norm, None, True)
+        raise UnsupportedError(
+            f"y={y} is in the intermediate range at M={M}, x={x}: no prediction"
+        )
+
 
 # by --kind name, in the order the command line offers them
 FAMILIES = {
     f.name: f for f in (PrimesLambda, SumTwoSquares, Rough, QuadFormMult, KTupleWeight)
 }
+
+# further names a closed form is asked for by: twin is the ktuple family at TWIN
+ALIASES = {"twin": KTupleWeight(TWIN)}
+
+
+def family_named(name: str, **params) -> Family:
+    """The family predict --family names, built from the keyword named after
+    its field (form=, tuple= or y=); keywords it has no field for are ignored."""
+    if name in ALIASES:
+        return ALIASES[name]
+    if name not in FAMILIES:
+        raise DomainError(f"unknown family {name!r}")
+    family = FAMILIES[name]
+    names = [f.name for f in fields(family)]
+    for field in names:
+        if params.get(field) is None:
+            raise DomainError(f"{name} family needs {field}=")
+    return family(*(params[field] for field in names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,14 +461,6 @@ def count_Aqa(window: SievedWindow, q: int, a: int) -> float | int:
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     return _reduce(window.weights[window.support % q == a % q])
-
-
-def count_Astar(window: SievedWindow, q: int, a: int) -> float | int:
-    """Like count_Aqa but with n <= |a| excluded."""
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    mask = (window.support % q == a % q) & (window.support > abs(a))
-    return _reduce(window.weights[mask])
 
 
 def dense_weights(window: SievedWindow, size: int | None = None) -> np.ndarray:

@@ -144,14 +144,18 @@ def test_mu_monotone_in_M():
 
 
 def test_mu_validation():
-    with pytest.raises(UnsupportedError):
-        bias.mu_k(mf.two_squares_model(), 1, 100.0)
-    with pytest.raises(UnsupportedError):
-        bias.mu_k(mf.quadform_model(X2Y2), 1, 100.0)
-    with pytest.raises(DomainError):
-        bias.mu_k(PRIMES, 1, 1.0)
-    with pytest.raises(ConfigurationError):
-        bias.mu_k(PRIMES, 1, 100.0, P_trunc=10)
+    # both routines refuse the same inputs, up front
+    for mu in (bias.mu_k, bias.mu_specialized):
+        with pytest.raises(UnsupportedError):
+            mu(mf.two_squares_model(), 1, 100.0)
+        with pytest.raises(UnsupportedError):
+            mu(mf.quadform_model(X2Y2), 1, 100.0)
+        with pytest.raises(DomainError):
+            mu(PRIMES, 1, 1.0)
+        with pytest.raises(ConfigurationError):
+            mu(PRIMES, 1, 10.0, P_trunc=10)
+        with pytest.raises(DomainError):
+            mu(PRIMES, 0, 100.0)
 
 
 def test_area_unit_region():
@@ -231,16 +235,12 @@ def test_twin_prediction_table():
     assert v3.logM_exponent == 0
     v13 = bias.predict_example("twin", 13, M)  # omega(3*5*13) = 3 > k
     assert v13.zero
-    with pytest.raises(DomainError):
-        bias.predict_example("twin", -2, M)
-
-
-def test_twin_prediction_matches_class_table():
-    for a in [a for a in range(-8, 9) if a not in (0, -2)]:
-        cls = ktuples.twin_bias_class(a)
-        v = bias.predict_example("twin", a, 50.0)
-        want = cls.coeff * math.log(50.0) ** cls.logM_power
-        assert v.leading_value == pytest.approx(want, rel=1e-12, abs=1e-300)
+    # P(a) = P(-a-2), so mirrored shifts predict the same bits
+    for a in range(1, 10):
+        assert bias.predict_example("twin", a, M) == bias.predict_example("twin", -a - 2, M)
+    for a in (0, -2):
+        with pytest.raises(DomainError):
+            bias.predict_example("twin", a, M)
 
 
 def test_ktuple_prediction_general():

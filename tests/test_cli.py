@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from disclab import bias, cli
+from disclab import ktuples as kt
 
 
 def run(capsys, *argv):
@@ -28,6 +29,13 @@ def test_predict_twin_shift(capsys):
     assert code == 0
     assert "value = %.12g" % (-math.log(100.0) ** 2 / 4) in out
     assert "conditional_on = Hardy-Littlewood" in out
+    # any tuple through --tuple, the ktuple family's field
+    code, out = run(capsys, "predict", "--family", "ktuple", "--tuple", "1,0;1,2;1,6",
+                    "--a", "-1", "--M", "100")
+    triple = kt.KTuple(((1, 0), (1, 2), (1, 6)))
+    want = bias.predict_example("ktuple", -1, 100.0, tuple=triple).leading_value
+    assert code == 0
+    assert "value = %.12g" % want in out and "logM_exponent = 2" in out
 
 
 def test_predict_bounded_class(capsys):
@@ -35,6 +43,10 @@ def test_predict_bounded_class(capsys):
     assert code == 0
     assert "value = 0" in out
     assert "class = bounded" in out
+    code, out = run(capsys, "predict", "--family", "rough", "--y", "5", "--x", "1000000000",
+                    "--a", "7", "--M", "1e6")
+    assert code == 0
+    assert "value = 0" in out and "class = bounded" in out
 
 
 def test_manifest_is_deterministic(capsys):
@@ -57,6 +69,8 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     code, _ = run(capsys, "predict", "--family", "two_squares", "--a", "3", "--M", "10", "--x", "1000")
     assert code == 2  # dyadic route only covers a = 1 mod 4
+    code, _ = run(capsys, "predict", "--family", "quadform", "--a", "1", "--M", "10")
+    assert code == 2  # the quadform family needs its --form
 
 
 def test_resource_exit_3(capsys):

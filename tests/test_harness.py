@@ -109,24 +109,32 @@ def test_two_squares_dyadic_ordering():
     assert reps[21].predicted.zero
 
 
+def _sum_with_point_mass(kind, a, x, M, point_mass):
+    """fsum over q <= x/M of A(x;q,a) - point_mass - g_a(q) A(x), from
+    count_Aqa and the exact g_a."""
+    window = sq.sieve(kind, 1, x)
+    A_x = sq.count_A(window)
+    return math.fsum(
+        sq.count_Aqa(window, q, a) - point_mass - float(mf.g_a(kind.model(), a, q)) * A_x
+        for q in range(1, int(x / M) + 1)
+    )
+
+
 def test_point_mass_bookkeeping():
-    # dropping the a(a) subtraction shifts the sum by weight(a) * q_count
+    # a = 4 is a prime power, so each modulus subtracts a(4) = log 2 once
     cfg = h.ExperimentConfig(
         kind=sq.PrimesLambda(), a=4, x=10**4, M=10.0, mode="full", coprime_filter="none"
     )
-    with_pm = h.empirical_average(cfg, subtract_point_mass=True)
-    without = h.empirical_average(cfg, subtract_point_mass=False)
-    shift = math.log(2) * with_pm.q_count
-    assert without.empirical_sum - with_pm.empirical_sum == pytest.approx(shift, rel=1e-12)
+    want = _sum_with_point_mass(cfg.kind, 4, cfg.x, cfg.M, math.log(2))
+    assert h.empirical_average(cfg).empirical_sum == pytest.approx(want, rel=1e-12)
 
 
 def test_negative_a_has_no_point_mass():
     cfg = h.ExperimentConfig(
         kind=sq.PrimesLambda(), a=-4, x=10**4, M=10.0, coprime_filter="none"
     )
-    on = h.empirical_average(cfg, subtract_point_mass=True)
-    off = h.empirical_average(cfg, subtract_point_mass=False)
-    assert on.empirical_sum == off.empirical_sum
+    want = _sum_with_point_mass(cfg.kind, -4, cfg.x, cfg.M, 0.0)
+    assert h.empirical_average(cfg).empirical_sum == pytest.approx(want, rel=1e-12)
 
 
 def test_coprime_filter_counts():

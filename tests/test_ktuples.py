@@ -1,5 +1,3 @@
-import math
-
 from fractions import Fraction
 
 import pytest
@@ -154,39 +152,3 @@ def test_gamma_H():
     assert kt.gamma_H(kt.TWIN, 2) == Fraction(1, 2)
     assert kt.gamma_H(kt.TWIN, 1) == 1
     assert kt.gamma_H(TRIPLE, 5) == Fraction(2, 5)
-
-
-def test_twin_bias_class_table():
-    c = kt.twin_bias_class(-1)
-    assert (c.omega, c.logM_power, c.label) == (0, 2, "a=-1")
-    assert c.coeff == -0.25
-    for a in (1, -3):
-        c = kt.twin_bias_class(a)
-        assert c.label == "a=1 or -3"
-        assert c.logM_power == 1
-        assert abs(c.coeff - (-math.log(3) / 4)) < 1e-15
-    for a in (2, -4):
-        c = kt.twin_bias_class(a)
-        assert c.label == "a=2 or -4"
-        assert abs(c.coeff - (-math.log(2) / 2)) < 1e-15
-    c = kt.twin_bias_class(3)  # 3*5 = 15, two primes
-    assert c.label == "P=+-p^e*q^f"
-    assert c.logM_power == 0
-    expected = -0.5 * (math.log(3) / 2) * (3 * math.log(5) / 4)
-    assert abs(c.coeff - expected) < 1e-15
-    c = kt.twin_bias_class(13)  # 13*15 = 195 = 3*5*13
-    assert c.bounded and c.coeff == 0.0 and c.omega == 3
-
-
-def test_twin_bias_class_negative_symmetry():
-    # P(a) = P(-a-2), so mirrored shifts classify identically
-    for a in range(1, 10):
-        ca, cm = kt.twin_bias_class(a), kt.twin_bias_class(-a - 2)
-        assert (ca.P, ca.omega, ca.coeff, ca.logM_power) == (cm.P, cm.omega, cm.coeff, cm.logM_power)
-
-
-def test_twin_bias_class_errors():
-    with pytest.raises(DomainError):
-        kt.twin_bias_class(0)
-    with pytest.raises(DomainError):
-        kt.twin_bias_class(-2)

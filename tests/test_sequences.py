@@ -147,23 +147,6 @@ def test_count_Ad_equals_residue_zero():
         assert sq.count_Ad(w, d) == sq.count_Aqa(w, d, d)  # d mod d == 0
 
 
-def test_count_Astar():
-    w = sq.sieve(sq.PrimesLambda(), 1, 10**4)
-    # for q >= a the only excluded term is n = a itself
-    for a, q in [(3, 10), (5, 7), (9, 20)]:
-        assert sq.count_Astar(w, q, a) == pytest.approx(
-            sq.count_Aqa(w, q, a) - sq.weight_at(sq.PrimesLambda(), a), abs=1e-12
-        )
-    # negative residues use the class of a mod q; no exclusion applies there
-    assert sq.count_Astar(w, 7, -3) == pytest.approx(sq.count_Aqa(w, 7, -3), abs=1e-12)
-    # small q: several terms below the cut are excluded
-    assert sq.count_Astar(w, 2, 9) == pytest.approx(
-        sq.count_Aqa(w, 2, 9)
-        - math.fsum(sq.weight_at(sq.PrimesLambda(), n) for n in [3, 5, 7, 9, 1]),
-        rel=1e-13,
-    )
-
-
 def test_count_A_upto():
     w = sq.sieve(sq.SumTwoSquares(), 1, 1000)
     assert sq.count_A_upto(w, 10) == 7
