@@ -44,6 +44,18 @@ _KIND_FLAGS = {
 }
 
 
+def integer(text: str) -> int:
+    """An integer flag value, also in a float spelling such as 1e9 when its
+    value is a whole number; 1.5 is refused."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="disclab")
     top.add_argument("--config", help="ini file; [defaults] section seeds flag values")
@@ -53,14 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=(*sq.FAMILIES, *sq.ALIASES))
     p.add_argument("--a", type=int)
     p.add_argument("--M", type=float)
-    p.add_argument("--x", type=int)
+    p.add_argument("--x", type=integer)
     for flag, opts in _KIND_FLAGS.items():
         p.add_argument(f"--{flag}", **opts)
 
     d = sub.add_parser("discrepancy", help="empirical average of A(x;q,a) minus its model term")
     _kind_flags(d)
     d.add_argument("--a", type=int)
-    d.add_argument("--x", type=int)
+    d.add_argument("--x", type=integer)
     d.add_argument("--M", type=float)
     d.add_argument("--mode", choices=hn._MODES, default="full")
     d.add_argument("--filter", dest="coprime_filter", choices=hn._FILTERS, default="none")
@@ -72,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", type=int)
     s.add_argument("--M", type=float)
     s.add_argument("--R", type=float)
-    s.add_argument("--x", type=int)
+    s.add_argument("--x", type=integer)
 
     q = sub.add_parser("quadform", help="representation counts R_a(q) of a quadratic form")
     q.add_argument("--form", required=True)
@@ -82,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("sieve-cache", help="sieve a window once and cache it for reuse")
     _kind_flags(c)
-    c.add_argument("--x", type=int)
+    c.add_argument("--x", type=integer)
     c.add_argument("--dir", help="cache directory (default $DISCLAB_CACHE_DIR or .)")
 
     v = sub.add_parser("verify", help="run oracle/identity property suites")
@@ -216,7 +228,7 @@ def cmd_discrepancy(args) -> int:
     print(f"empirical_sum = {_fmt(report.empirical_sum)}")
     print(f"normalized_avg = {_fmt(report.normalized_avg)}")
     if report.predicted is None:
-        print("predicted = - (no closed form for this mode/filter combination)")
+        print(f"predicted = - ({hn.prediction_refusal(cfg)})")
     else:
         print(f"predicted = {_fmt(report.predicted.leading_value)}")
         print(f"ratio = {_fmt(report.ratio)}")

@@ -232,29 +232,64 @@ def _normalizer(cfg: ExperimentConfig, A_x: float) -> float:
     return A_x / cfg.M if cfg.mode == "full" else A_x / (2 * cfg.M)
 
 
-def _prediction(cfg: ExperimentConfig) -> Optional[bias.BiasPrediction]:
+def _prediction(
+    cfg: ExperimentConfig, A_x: float | int | None = None
+) -> bias.BiasPrediction:
+    """The closed form on the family's route for this filter and mode; A_x,
+    the exact A(x) of a run that holds its window, saves a family that needs
+    it a sieve of its own.  A missing route or a refused shift raises."""
     kind = cfg.kind
     route = kind.routes.get((cfg.coprime_filter, cfg.mode))
+    if route == "predict":
+        return kind.predict(cfg.a, cfg.M, cfg.x, A_x)
+    if route == "mu_k":
+        return bias.mu_k(kind.model(), cfg.a, cfg.M)
+    raise UnsupportedError("no closed form for this mode/filter combination")
+
+
+def prediction_refusal(cfg: ExperimentConfig) -> Optional[str]:
+    """Why a run of cfg carries no prediction, in the closed form's own words;
+    None where it has one."""
     try:
-        if route == "predict":
-            return kind.predict(cfg.a, cfg.M, cfg.x)
-        if route == "mu_k":
-            return bias.mu_k(kind.model(), cfg.a, cfg.M)
-    except (DomainError, UnsupportedError):
-        return None
+        _prediction(cfg)
+    except (DomainError, UnsupportedError) as exc:
+        return str(exc)
     return None
 
 
-def _slice_sum_terms(
-    w: np.ndarray, a: int, qs: np.ndarray, G: np.ndarray, pm: float, A_x: float
-) -> list[float]:
-    out = []
-    for q, g in zip(qs.tolist(), G.tolist()):
-        start = a % q
-        if start == 0:
-            start = q
-        out.append(float(w[start::q].sum()) - pm - g * A_x)
-    return out
+def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np.ndarray:
+    """For each q in [lo, hi] with keep[q - lo], in q-order: the sum of w[n]
+    over 1 <= n <= x = len(w) - 1 with n = a mod q, in w's dtype.
+
+    A modulus q <= Q0 = max(isqrt(x), |a|) sums its own strided slice.  Above
+    Q0 the terms are n = a + rq, grouped by the cofactor r >= 1 (and n = a
+    once, for a > 0): each r adds one strided slice into a per-q accumulator,
+    so about 2 sqrt(x) numpy calls replace one per modulus.  Each sum is
+    formed in a fixed order, r ascending, so it does not depend on [lo, hi].
+    """
+    x = len(w) - 1
+    q0 = max(math.isqrt(x), abs(a))
+    small = [w[a % q or q :: q].sum() for q in range(lo, min(hi, q0) + 1) if keep[q - lo]]
+    sums = np.array(small, dtype=w.dtype)
+    big_lo = max(lo, q0 + 1)
+    if big_lo > hi:
+        return sums
+    acc = np.zeros(hi - big_lo + 1, dtype=w.dtype)
+    if a > 0:
+        acc += w[a]
+    r = 1
+    while a + r * big_lo <= x:
+        top = min(hi, (x - a) // r)
+        acc[: top - big_lo + 1] += w[a + r * big_lo : a + r * top + 1 : r]
+        r += 1
+    return np.concatenate([sums, acc[keep[big_lo - lo :]]])
+
+
+def _chunks(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut into at most n contiguous ranges of about equal work: a
+    modulus q costs about x/q terms, so the cuts are spaced geometrically."""
+    cuts = np.unique(np.geomspace(lo, hi + 1, n + 1).round().astype(np.int64))
+    return [(int(i), int(j) - 1) for i, j in zip(cuts[:-1], cuts[1:])]
 
 
 def empirical_average(
@@ -264,7 +299,10 @@ def empirical_average(
 ) -> DiscrepancyReport:
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
 
-    Float terms are reduced with fsum in q-order, independent of thread count.
+    The per-q counts come from _slice_sums, integer families in integers;
+    threads > 1 hands each worker a contiguous range of moduli.  Each count
+    is formed in a fixed order and the float terms are reduced with fsum, so
+    the report is the same at every thread count.
     """
     t0 = time.perf_counter()
     if cfg.kind.required_filter not in (None, cfg.coprime_filter):
@@ -278,9 +316,8 @@ def empirical_average(
     elif window.kind_label != cfg.kind.label() or window.lo != 1 or window.hi < cfg.x:
         raise ConfigurationError("window does not cover this configuration")
     w = sq.dense_weights(window, size=cfg.x)
-    integer = np.issubdtype(w.dtype, np.integer)
-    A_xf = float(sq.count_A_upto(window, cfg.x))
-    wf = w.astype(np.float64) if integer else w
+    A_x = sq.count_A_upto(window, cfg.x)
+    A_xf = float(A_x)
 
     q_lo, q_hi = cfg.q_range()
     pm = 0.0
@@ -288,33 +325,29 @@ def empirical_average(
         pm = float(sq.weight_at(cfg.kind, cfg.a))
 
     if q_hi < q_lo:
-        terms: list[float] = []
-        q_count = 0
+        terms = np.empty(0)
     else:
         G = _term_array(cfg, q_lo, q_hi)
         mask = _filter_mask(cfg, q_lo, q_hi)
-        qs = np.arange(q_lo, q_hi + 1, dtype=np.int64)[mask]
-        Gm = G[mask]
-        q_count = len(qs)
-        if threads <= 1 or q_count < 1024:
-            terms = _slice_sum_terms(wf, cfg.a, qs, Gm, pm, A_xf)
+
+        def part(bounds: tuple[int, int]) -> np.ndarray:
+            lo, hi = bounds
+            return _slice_sums(w, cfg.a, lo, hi, mask[lo - q_lo : hi - q_lo + 1])
+
+        if threads <= 1 or q_hi - q_lo < 1024:
+            sums = part((q_lo, q_hi))
         else:
-            bounds = np.linspace(0, q_count, threads * 4 + 1, dtype=np.int64)
-            chunks = [
-                (qs[i:j], Gm[i:j]) for i, j in zip(bounds[:-1], bounds[1:]) if j > i
-            ]
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(
-                    pool.map(
-                        lambda c: _slice_sum_terms(wf, cfg.a, c[0], c[1], pm, A_xf),
-                        chunks,
-                    )
-                )
-            terms = [t for part in parts for t in part]
-    empirical = math.fsum(terms)
+                sums = np.concatenate(list(pool.map(part, _chunks(q_lo, q_hi, threads))))
+        terms = sums.astype(np.float64) - pm - G[mask] * A_xf
+    q_count = len(terms)
+    empirical = math.fsum(terms.tolist())
     norm = _normalizer(cfg, A_xf)
     normalized = empirical / norm if norm != 0 else math.nan
-    predicted = _prediction(cfg)
+    try:
+        predicted = _prediction(cfg, A_x)
+    except (DomainError, UnsupportedError):
+        predicted = None
     if predicted is not None and predicted.leading_value != 0.0:
         ratio = normalized / predicted.leading_value
     else:

@@ -38,17 +38,18 @@ class Family:
     """One weighted sequence, described once.
 
     A family defines window(lo, hi), its support and weights over a window
-    sieve() has checked, and predict(a, M, x=None), its worked closed form
-    as a bias.BiasPrediction in its own normalization (a != 0 and M > 1
-    checked by the caller).  Its dataclass field, if any, is its parameter;
-    the field's name is also its command-line flag (read by parse) and its
-    keyword in family_named.  Class attributes declare the rest:
-    integer_weights; indicator (0/1 weights, for which check_Ad_identity
-    holds); required_filter, the one coprimality filter its runs take;
-    norm_filters, the filters under which averages are normalized by
-    (phi(b)/b) x/M, b the filter's base (1, |a| or |P(a;H)|), instead of
-    A(x)/M; and routes, (filter, mode) -> "predict" (predict) or "mu_k"
-    (bias.mu_k on model()).
+    sieve() has checked, and predict(a, M, x=None, A_x=None), its worked
+    closed form as a bias.BiasPrediction in its own normalization (a != 0
+    and M > 1 checked by the caller; A_x, the exact count A(x) where the
+    caller holds its window, spares a form that needs it a sieve).  Its
+    dataclass field, if any, is its parameter; the field's name is also its
+    command-line flag (read by parse) and its keyword in family_named.
+    Class attributes declare the rest: integer_weights; indicator (0/1
+    weights, for which check_Ad_identity holds); required_filter, the one
+    coprimality filter its runs take; norm_filters, the filters under which
+    averages are normalized by (phi(b)/b) x/M, b the filter's base (1, |a|
+    or |P(a;H)|), instead of A(x)/M; and routes, (filter, mode) -> "predict"
+    (predict) or "mu_k" (bias.mu_k on model()).
     """
 
     name: ClassVar[str]
@@ -92,7 +93,7 @@ class PrimesLambda(Family):
     def model(self):
         return mf.primes_model()
 
-    def predict(self, a, M, x=None):
+    def predict(self, a, M, x=None, A_x=None):
         norm = "1/((phi(a)/a)(x/M)); q <= x/M with gcd(q,a)=1"
         fac = as_factored(a).factors
         if abs(a) == 1:
@@ -129,7 +130,7 @@ class QuadFormMult(Family):
     def model(self):
         return mf.quadform_model(self.form)
 
-    def predict(self, a, M, x=None):
+    def predict(self, a, M, x=None, A_x=None):
         d = self.form.disc
         if math.gcd(a, 2 * d) != 1:
             raise DomainError(f"need gcd(a, 2d) = 1; a={a}, d={d}")
@@ -157,7 +158,7 @@ class SumTwoSquares(Family):
     def model(self):
         return mf.two_squares_model()
 
-    def predict(self, a, M, x=None):
+    def predict(self, a, M, x=None, A_x=None):
         if a % 4 != 1:
             raise DomainError(f"need a = 1 mod 4, got {a}")
         if x is None or x <= M:
@@ -227,7 +228,7 @@ class KTupleWeight(Family):
     def P(self, a):
         return P_of(a, self.tuple)
 
-    def predict(self, a, M, x=None):
+    def predict(self, a, M, x=None, A_x=None):
         H = self.tuple
         P = P_of(a, H)
         if P == 0:
@@ -287,7 +288,7 @@ class Rough(Family):
             lo = hi + 1
         return total / x
 
-    def predict(self, a, M, x=None):
+    def predict(self, a, M, x=None, A_x=None):
         if x is None or x <= max(M, 16):
             raise DomainError("rough prediction needs x > max(M, 16)")
         y = self.y
@@ -300,7 +301,7 @@ class Rough(Family):
                 return bias.BiasPrediction(-0.5, Fraction(0), norm, None, False)
             return bias.BiasPrediction(0.0, Fraction(0), norm, None, True)
         if large:
-            dens = self.density(int(x))
+            dens = self.density(int(x)) if A_x is None else A_x / int(x)
             fac = as_factored(a).factors
             if abs(a) == 1:
                 return bias.BiasPrediction(dens * math.log(M), Fraction(1), norm, None, False)

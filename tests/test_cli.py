@@ -47,6 +47,10 @@ def test_predict_bounded_class(capsys):
                     "--a", "7", "--M", "1e6")
     assert code == 0
     assert "value = 0" in out and "class = bounded" in out
+    # --x takes a float spelling of a whole number; the manifest is the same
+    code, short = run(capsys, "predict", "--family", "rough", "--y", "5", "--x", "1e9",
+                      "--a", "7", "--M", "1e6")
+    assert code == 0 and short == out
 
 
 def test_manifest_is_deterministic(capsys):
@@ -71,6 +75,13 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # dyadic route only covers a = 1 mod 4
     code, _ = run(capsys, "predict", "--family", "quadform", "--a", "1", "--M", "10")
     assert code == 2  # the quadform family needs its --form
+    for command in (["predict", "--family", "primes", "--a", "1", "--M", "10"],
+                    ["discrepancy", "--kind", "primes", "--a", "1", "--M", "10"],
+                    ["s5", "--kind", "primes", "--a", "1", "--M", "10", "--R", "100"],
+                    ["sieve-cache", "--kind", "primes"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--x", "1.5"])
+        assert exc.value.code == 2
 
 
 def test_resource_exit_3(capsys):
@@ -102,6 +113,18 @@ def test_discrepancy_json_and_no_out(tmp_path, capsys):
     code, out = run(capsys, "discrepancy", "--kind", "two_squares", "--a", "5",
                     "--x", "10000", "--M", "10", "--mode", "dyadic")
     assert code == 0 and "normalized_avg" in out
+
+
+def test_discrepancy_says_why_no_prediction(capsys):
+    args = ["discrepancy", "--kind", "two_squares", "--x", "10000", "--M", "10"]
+    # (none, dyadic) is a two_squares route, whose closed form refuses a = 3
+    code, out = run(capsys, *args, "--a", "3", "--mode", "dyadic")
+    assert code == 0
+    assert "predicted = - (need a = 1 mod 4, got 3)" in out
+    # full mode is not
+    code, out = run(capsys, *args, "--a", "5")
+    assert code == 0
+    assert "predicted = - (no closed form for this mode/filter combination)" in out
 
 
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -169,6 +170,83 @@ def test_twin_run_carries_conditional_prediction():
     rep = h.empirical_average(cfg)
     assert rep.predicted.conditional_on == "Hardy-Littlewood"
     assert rep.predicted.leading_value == pytest.approx(-math.log(10.0) ** 2 / 4, rel=1e-12)
+
+
+def _per_q_sums(w, a, lo, hi, keep):
+    """The oracle: one strided slice per modulus, summed by numpy."""
+    return [w[a % q or q :: q].sum() for q in range(lo, hi + 1) if keep[q - lo]]
+
+
+def test_divisor_switched_sums_match_per_q_loop():
+    # sqrt(x) = 141.5 and x/M = 4002, so a = 500 lies between them
+    x, M = 20011, 5.0
+    both = ("none", "a")
+    cases = [
+        (sq.PrimesLambda(), both),
+        (sq.SumTwoSquares(), both),
+        (sq.KTupleWeight(kt.TWIN), ("P",)),
+        (sq.Rough(7), both),
+        (sq.QuadFormMult(BinaryQuadraticForm(1, 0, 1)), both),
+    ]
+    for kind, filters in cases:
+        win = sq.sieve(kind, 1, x)
+        w = sq.dense_weights(win, size=x)
+        A_x = float(sq.count_A(win))
+        for a, mode, filt in itertools.product(
+            (1, -1, 3, -4, 30, 500, x + 3), ("full", "dyadic"), filters
+        ):
+            cfg = h.ExperimentConfig(kind=kind, a=a, x=x, M=M, mode=mode, coprime_filter=filt)
+            lo, hi = cfg.q_range()
+            keep = h._filter_mask(cfg, lo, hi)
+            got = h._slice_sums(w, a, lo, hi, keep)
+            want = np.array(_per_q_sums(w, a, lo, hi, keep), dtype=w.dtype)
+            assert got.dtype == w.dtype and len(got) == len(want) == keep.sum()
+            if kind.integer_weights:
+                assert np.array_equal(got, want), (kind, a, mode, filt)
+            else:
+                # weights are positive, so want is the summed magnitude
+                assert np.all(np.abs(got - want) <= 1e-12 * want), (kind, a, mode, filt)
+            # the report sums the same terms, alike at every thread count
+            try:
+                G = h._term_array(cfg, lo, hi)[keep]
+            except DomainError:  # x^2 + y^2 has no density at even a
+                with pytest.raises(DomainError):
+                    h.empirical_average(cfg, window=win)
+                continue
+            pm = float(sq.weight_at(kind, a)) if 0 < a <= x else 0.0
+            terms = [float(s) - pm - g * A_x for s, g in zip(want.tolist(), G.tolist())]
+            reps = [h.empirical_average(cfg, window=win, threads=t) for t in (1, 2, 4)]
+            assert len({repr(dataclasses.replace(r, runtime_ms=0)) for r in reps}) == 1
+            if kind.integer_weights:
+                assert reps[0].empirical_sum == math.fsum(terms)
+            else:
+                magnitude = math.fsum(abs(t) for t in terms)
+                assert abs(reps[0].empirical_sum - math.fsum(terms)) <= 1e-12 * magnitude
+    # an empty q-range, and a range in two pieces cut on either side of sqrt(x)
+    w = sq.dense_weights(sq.sieve(sq.PrimesLambda(), 1, x), size=x)
+    assert len(h._slice_sums(w, 1, 10, 9, np.ones(0, dtype=bool))) == 0
+    keep = np.ones(4002, dtype=bool)
+    whole = h._slice_sums(w, 1, 1, 4002, keep)
+    for cut in (100, 142, 143, 2000):
+        parts = [
+            h._slice_sums(w, 1, 1, cut - 1, keep[: cut - 1]),
+            h._slice_sums(w, 1, cut, 4002, keep[cut - 1 :]),
+        ]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_rough_report_sieves_once(monkeypatch):
+    # rough(50) at x = 1e5 is in the large-y regime, where the closed form
+    # needs the density A(x)/x that the run's own window already holds
+    kind = sq.Rough(50)
+    cfg = h.ExperimentConfig(kind=kind, a=1, x=10**5, M=10.0, mode="dyadic", coprime_filter="a")
+    want = kind.predict(1, 10.0, 10**5)
+    calls = []
+    sieve = sq.sieve
+    monkeypatch.setattr(sq, "sieve", lambda *args: calls.append(args) or sieve(*args))
+    rep = h.empirical_average(cfg)
+    assert calls == [(kind, 1, 10**5)]
+    assert repr(rep.predicted) == repr(want)
 
 
 def test_thread_count_does_not_change_floats():
