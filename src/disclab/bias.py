@@ -26,7 +26,7 @@ from scipy.special import digamma as _digamma
 from .errors import ConfigurationError, DomainError, UnsupportedError
 from .factorint import as_factored, iter_primes, kronecker
 from .ktuples import KTuple
-from .multfn import SequenceModel, omega_h
+from .multfn import SequenceModel, local_diff, omega_h
 from .quadform import BinaryQuadraticForm
 from . import sequences as sq
 
@@ -78,14 +78,6 @@ def _require_generic(model: SequenceModel, a, M: float, P_trunc: int):
         raise DomainError("a must be nonzero")
 
 
-def _local_diff(model: SequenceModel, p: int, f: int) -> Fraction:
-    return model.h_pp(p, f) - model.h_pp(p, f + 1) / p
-
-
-def _is_memory_prime(model: SequenceModel, p: int, f: int) -> bool:
-    return f >= 1 and model.h_pp(p, f) == model.h_pp(p, f + 1) / p
-
-
 def _euler_tail(model: SequenceModel, afac, P_trunc: int, acc):
     """acc times the Euler factors (1 - h(p)/p) / (1 - 1/p)^k over the primes
     p <= P_trunc that do not divide a, with the summed |log factor| over the
@@ -97,7 +89,7 @@ def _euler_tail(model: SequenceModel, afac, P_trunc: int, acc):
     """
     k = model.k
     integer_k = k.denominator == 1
-    declared = model.h.tail_primes
+    declared = model.tail_primes
     if declared is None:
         primes = iter_primes(P_trunc)
     else:
@@ -106,7 +98,7 @@ def _euler_tail(model: SequenceModel, afac, P_trunc: int, acc):
     for p in primes:
         if afac.value % p == 0:
             continue
-        diff = 1 - model.h_pp(p, 1) / p
+        diff = local_diff(model, p, 0)
         base = Fraction(p - 1, p)
         if integer_k:
             factor = diff / base**k.numerator
@@ -148,10 +140,11 @@ def mu_k(
     float_part = 1.0
     integer_k = k.denominator == 1
     for p, f in afac.factors:
-        if _is_memory_prime(model, p, f):
+        diff = local_diff(model, p, f)
+        base = Fraction(p - 1, p)
+        if diff == 0:
             # geometric memory: this prime raises the order of the bias
             tower = 1 + sum(model.h_pp(p, j) for j in range(1, f + 1))
-            base = Fraction(p - 1, p)
             if integer_k:
                 rat *= tower * base ** (1 - k.numerator)
             else:
@@ -159,8 +152,6 @@ def mu_k(
                 float_part *= float(base) ** float(1 - k)
             log_primes.append(p)
         else:
-            diff = _local_diff(model, p, f)
-            base = Fraction(p - 1, p)
             if integer_k:
                 rat *= diff / base**k.numerator
             else:
@@ -197,27 +188,24 @@ def mu_specialized(model: SequenceModel, a, M: float, P_trunc: int = 10**6) -> B
     if kn >= 2 or omega >= 2 - kn:
         return BiasPrediction(0.0, Fraction(1 - kn - omega), norm, None, True)
 
-    def other_primes(skip: int | None) -> tuple[Fraction, float]:
-        out = Fraction(1)
-        for p, f in afac.factors:
-            if p == skip or _is_memory_prime(model, p, f):
-                continue
-            out *= _local_diff(model, p, f) / Fraction(p - 1, p) ** kn
-        return _euler_tail(model, afac, P_trunc, out)
-
+    # the product over the primes of a that carry no memory, then the tail
+    rest = Fraction(1)
+    for p, f in afac.factors:
+        diff = local_diff(model, p, f)
+        if diff != 0:
+            rest *= diff / Fraction(p - 1, p) ** kn
+    rest, drift = _euler_tail(model, afac, P_trunc, rest)
     if kn == 0 and omega == 1:
         p0, f0 = next(
-            (p, f) for p, f in afac.factors if _is_memory_prime(model, p, f)
+            (p, f) for p, f in afac.factors if local_diff(model, p, f) == 0
         )
         tower = 1 + sum(model.h_pp(p0, j) for j in range(1, f0 + 1))
-        rest, drift = other_primes(p0)
         rat = Fraction(-1, 2) * Fraction(p0 - 1, p0) * tower * rest
         value = float(rat)
         value *= math.log(p0)
         value *= math.log(M) ** 0.0
         return BiasPrediction(value, Fraction(0), norm, None, value == 0.0, drift)
     # remaining cases carry no memory prime: omega = 0 with k in {0, 1}
-    rest, drift = other_primes(None)
     rat = Fraction(-1, 2) * rest
     value = float(rat)
     value *= math.log(M) ** float(1 - kn)

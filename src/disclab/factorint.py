@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfRangeError
+from .errors import ConfigurationError, DomainError, OutOfRangeError
 
 MAX_TABLE_LIMIT = 10**9
 
@@ -215,30 +215,34 @@ def factor_general(n: int, tables: SieveTables = None) -> FactoredInteger:
     return FactoredInteger(value=n, factors=tuple(sorted(counts.items())))
 
 
-def _coerce(n) -> Factorization:
+def factors_of(n) -> Factorization:
+    """The prime factorization of a FactoredInteger or of a nonzero int's
+    absolute value."""
     if isinstance(n, FactoredInteger):
         return n.factors
-    return factor_general(int(abs(n))).factors
+    n = int(n)
+    if n == 0:
+        raise DomainError("expected a nonzero integer")
+    return factor_general(abs(n)).factors
 
 
 def as_factored(n) -> FactoredInteger:
-    """Coerce an int (possibly negative) to a FactoredInteger."""
+    """Coerce a nonzero int (possibly negative) to a FactoredInteger."""
     if isinstance(n, FactoredInteger):
         return n
-    n = int(n)
-    return FactoredInteger(value=n, factors=factor_general(abs(n)).factors)
+    return FactoredInteger(value=int(n), factors=factors_of(n))
 
 
 def phi(n) -> int:
     """Euler totient from a factorization (or a plain integer)."""
     out = 1
-    for p, e in _coerce(n):
+    for p, e in factors_of(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
 
 def moebius(n) -> int:
-    fs = _coerce(n)
+    fs = factors_of(n)
     if any(e >= 2 for _, e in fs):
         return 0
     return -1 if len(fs) % 2 else 1
@@ -246,13 +250,13 @@ def moebius(n) -> int:
 
 def omega(n) -> int:
     """Number of distinct prime factors."""
-    return len(_coerce(n))
+    return len(factors_of(n))
 
 
 def divisors(n) -> list:
     """All positive divisors, ascending."""
     ds = [1]
-    for p, e in _coerce(n):
+    for p, e in factors_of(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 

@@ -34,7 +34,6 @@ from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedE
 from .factorint import as_factored, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
-MAX_DENSE = sq.MAX_WINDOW
 _BLOCK = 10**7
 
 _FILTERS = ("none", "a", "P")
@@ -150,7 +149,7 @@ def g_range(model: mf.SequenceModel, a, lo: int, hi: int) -> np.ndarray:
 
     Prime powers carry the exact local ratio; divisors of a and the model's
     bad primes above sqrt(hi) are strided exactly too, and the other
-    leftover primes get the bulk h(p) rule (or a per-value fallback).
+    leftover primes get the model's bulk h(p) rule, h_prime_vec.
     """
     _check_window(lo, hi)
     afac = as_factored(a)
@@ -162,15 +161,7 @@ def g_range(model: mf.SequenceModel, a, lo: int, hi: int) -> np.ndarray:
 
     def leftover(P: np.ndarray) -> np.ndarray:
         Pf = P.astype(np.float64)
-        if model.h_prime_vec is not None:
-            return (1.0 - model.h_prime_vec(P) / Pf) / (Pf - 1.0)
-        vals, inverse = np.unique(P, return_inverse=True)
-        if len(vals) > 10**6:
-            raise ResourceError(
-                f"{len(vals)} distinct large primes and no bulk h rule for "
-                f"model {model.label}"
-            )
-        return np.array([float(gl(int(p), 1)) for p in vals])[inverse]
+        return (1.0 - model.h_prime_vec(P) / Pf) / (Pf - 1.0)
 
     extra = {p for p, _ in afac.factors} | set(model.bad_primes)
     return _multiplicative_sieve(lo, hi, ratio, extra, leftover)
@@ -285,6 +276,24 @@ def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np
     return np.concatenate([sums, acc[keep[big_lo - lo :]]])
 
 
+def _dense_window(
+    kind: sq.Family, x: int, window: Optional[sq.SievedWindow]
+) -> sq.SievedWindow:
+    """The window a run over [1, x] sums: refused above the dense-array
+    budget before any work, sieved when none is given, else checked to
+    cover [1, x] for kind."""
+    if x > sq.MAX_WINDOW:
+        raise ResourceError(f"x={x} above dense-array budget {sq.MAX_WINDOW}")
+    if window is None:
+        return sq.sieve(kind, 1, x)
+    if window.kind_label != kind.label() or window.lo != 1 or window.hi < x:
+        raise ConfigurationError(
+            f"window {window.kind_label} [{window.lo}, {window.hi}] does not "
+            f"cover [1, {x}] for {kind.label()}"
+        )
+    return window
+
+
 def _chunks(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
     """[lo, hi] cut into at most n contiguous ranges of about equal work: a
     modulus q costs about x/q terms, so the cuts are spaced geometrically."""
@@ -309,12 +318,7 @@ def empirical_average(
         raise UnsupportedError(
             f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
         )
-    if cfg.x > MAX_DENSE:
-        raise ResourceError(f"x={cfg.x} above dense-array budget {MAX_DENSE}")
-    if window is None:
-        window = sq.sieve(cfg.kind, 1, cfg.x)
-    elif window.kind_label != cfg.kind.label() or window.lo != 1 or window.hi < cfg.x:
-        raise ConfigurationError("window does not cover this configuration")
+    window = _dense_window(cfg.kind, cfg.x, window)
     w = sq.dense_weights(window, size=cfg.x)
     A_x = sq.count_A_upto(window, cfg.x)
     A_xf = float(A_x)
@@ -405,13 +409,7 @@ def divisor_switch_check(
         raise DomainError(f"the identity is stated for a > 0, got a={a}")
     if M <= 0:
         raise DomainError(f"M must be positive, got M={M}")
-    if x > MAX_DENSE:
-        raise ResourceError(f"x={x} above dense-array budget {MAX_DENSE}")
-    if window is None:
-        window = sq.sieve(kind, 1, x)
-    elif window.kind_label != kind.label() or window.lo != 1 or window.hi < x:
-        raise ConfigurationError("window does not cover [1, x] for this family")
-    w = sq.dense_weights(window, x)
+    w = sq.dense_weights(_dense_window(kind, x, window), x)
     G = int(x / M)
     integer = np.issubdtype(w.dtype, np.integer)
 

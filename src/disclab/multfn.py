@@ -1,86 +1,68 @@
 """Multiplicative densities for sequences in arithmetic progressions.
 
-Each sequence model carries a prime-power function h with mean value k.  The
+A sequence model is one SequenceModel: a prime-power function h with mean
+value k, plus the finitely many "bad" primes where the h-recipe breaks.  The
 progression density g_a(q) is multiplicative in q and depends on a only
-through the exponents v_p(a); primes where the h-recipe breaks ("bad" primes)
-get explicit per-model tables.  All arithmetic here is exact rational.
+through the exponents v_p(a).  At a good prime it follows from h through the
+local difference h(p^f) - h(p^(f+1))/p (local_diff); at a bad prime it comes
+from the model's own table g_bad, and gamma(p) is 1 there.  The Euler
+products of bias walk only the model's tail_primes when it lists them.  All
+arithmetic here is exact rational.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .factorint import FactoredInteger, as_factored, factor_general, iter_primes
+from .factorint import FactoredInteger, as_factored, factor_general, factors_of, iter_primes
 from . import quadform as qf
 
 
 @dataclass(frozen=True)
-class PrimePowerFn:
-    """h on prime powers: eval(p, e) for e >= 1; h(1) = 1 by convention.
+class SequenceModel:
+    """One density model, everything needed to evaluate g_a everywhere.
 
-    tail_primes, when known, is the finite set of primes p at which the Euler
-    factor (1 - h(p)/p) / (1 - 1/p)^k differs from 1; bias.mu_k walks only
-    these.  None means the factor may differ from 1 anywhere.
+    h(p, e) gives h on prime powers, e >= 1 (h(1) = 1 by convention); k is
+    its mean value; h_prime_vec(P) gives h(p) as floats on an int64 array of
+    good primes, none dividing a, for the bulk sieves.  At each of the
+    bad_primes, g_a(p^e) is g_bad(p, e, a) with the signed a, and gamma(p)
+    is 1.  tail_primes, when known, is the finite set of primes p at which
+    the Euler factor (1 - h(p)/p) / (1 - 1/p)^k differs from 1;
+    bias.mu_k walks only these.  None means the factor may differ from 1
+    anywhere.
     """
 
-    eval: Callable[[int, int], Fraction]
-    average_k: Fraction
-    bad_primes: frozenset
     label: str
-    tail_primes: Optional[frozenset] = None
-
-
-@dataclass(frozen=True)
-class SequenceModel:
-    """h plus the bad-prime overrides needed to evaluate g_a everywhere."""
-
-    h: PrimePowerFn
-    label: str
-    gamma_override: dict = field(default_factory=dict)
+    h: Callable[[int, int], Fraction]
+    k: Fraction
+    h_prime_vec: Callable[[np.ndarray], np.ndarray]
+    bad_primes: frozenset = frozenset()
     g_bad: Optional[Callable[[int, int, int], Fraction]] = None
-    # h(p) on an int64 array of good primes (none dividing a), for bulk sieves
-    h_prime_vec: Optional[Callable] = None
-
-    @property
-    def k(self) -> Fraction:
-        return self.h.average_k
-
-    @property
-    def bad_primes(self) -> frozenset:
-        return self.h.bad_primes
+    tail_primes: Optional[frozenset] = None
 
     def h_pp(self, p: int, e: int) -> Fraction:
         if e == 0:
             return Fraction(1)
-        return self.h.eval(p, e)
+        return self.h(p, e)
 
     def h_of(self, d) -> Fraction:
         """h(d) as a product over the prime powers of d."""
         out = Fraction(1)
-        for p, e in _factors(d):
+        for p, e in factors_of(d):
             out *= self.h_pp(p, e)
         return out
 
 
-def _factors(n):
-    if isinstance(n, FactoredInteger):
-        return n.factors
-    n = int(n)
-    if n == 0:
-        raise DomainError("expected a nonzero integer")
-    return factor_general(abs(n)).factors
-
-
-def _vp(factors, p: int) -> int:
-    for q, e in factors:
-        if q == p:
-            return e
-    return 0
+def local_diff(model: SequenceModel, p: int, f: int) -> Fraction:
+    """h(p^f) - h(p^(f+1))/p at a good prime p.  Zero at p^f || a marks a
+    memory prime (omega_h); at f = 0 it is the 1 - h(p)/p of the Euler
+    products."""
+    return model.h_pp(p, f) - model.h_pp(p, f + 1) / p
 
 
 def g_local(model: SequenceModel, p: int, e: int, a) -> Fraction:
@@ -92,11 +74,10 @@ def g_local(model: SequenceModel, p: int, e: int, a) -> Fraction:
             raise ModelError(f"model {model.label} has no table for bad prime {p}")
         a_val = a.value if isinstance(a, FactoredInteger) else int(a)
         return model.g_bad(p, e, a_val)
-    f = _vp(_factors(a), p)
+    f = dict(factors_of(a)).get(p, 0)
     if e <= f:
         return model.h_pp(p, e) / p**e
-    num = model.h_pp(p, f) - model.h_pp(p, f + 1) / p
-    return num / (p ** (e - 1) * (p - 1))
+    return local_diff(model, p, f) / (p ** (e - 1) * (p - 1))
 
 
 def g_a(model: SequenceModel, a, q) -> Fraction:
@@ -108,7 +89,7 @@ def g_a(model: SequenceModel, a, q) -> Fraction:
     """
     a = as_factored(a)
     out = Fraction(1)
-    for p, e in _factors(q):
+    for p, e in factors_of(q):
         out *= g_local(model, p, e, a)
         if out == 0:
             return out
@@ -116,8 +97,8 @@ def g_a(model: SequenceModel, a, q) -> Fraction:
 
 
 def gamma_local(model: SequenceModel, p: int) -> Fraction:
-    if p in model.gamma_override:
-        return model.gamma_override[p]
+    if p in model.bad_primes:
+        return Fraction(1)
     hp = model.h_pp(p, 1)
     if hp >= p:
         raise ModelError(f"model {model.label} needs h(p) < p; h({p}) = {hp}")
@@ -125,9 +106,10 @@ def gamma_local(model: SequenceModel, p: int) -> Fraction:
 
 
 def gamma_q(model: SequenceModel, q) -> Fraction:
-    """gamma(q) = prod over distinct p | q of (1 - 1/p)/(1 - h(p)/p)."""
+    """gamma(q) = prod over distinct p | q of (1 - 1/p)/(1 - h(p)/p), with
+    factor 1 at the bad primes."""
     out = Fraction(1)
-    for p, _e in _factors(q):
+    for p, _e in factors_of(q):
         out *= gamma_local(model, p)
     return out
 
@@ -139,12 +121,10 @@ def f_a(model: SequenceModel, a, q) -> Fraction:
 
 
 def omega_h(model: SequenceModel, a) -> int:
-    """Number of p^f || a (f >= 1, p good) with h(p^f) = h(p^(f+1))/p."""
+    """Number of p^f || a (f >= 1, p good) with local_diff(p, f) = 0."""
     count = 0
-    for p, f in _factors(a):
-        if p in model.bad_primes:
-            continue
-        if model.h_pp(p, f) == model.h_pp(p, f + 1) / p:
+    for p, f in factors_of(a):
+        if p not in model.bad_primes and local_diff(model, p, f) == 0:
             count += 1
     return count
 
@@ -163,11 +143,9 @@ def primes_model() -> SequenceModel:
         return Fraction(0)
 
     # k = 0 and h(p) = 0: every Euler factor is exactly 1
-    fn = PrimePowerFn(
-        eval=h, average_k=Fraction(0), bad_primes=frozenset(), label="primes",
-        tail_primes=frozenset(),
+    return SequenceModel(
+        "primes", h, Fraction(0), lambda P: np.zeros(len(P)), tail_primes=frozenset()
     )
-    return SequenceModel(h=fn, label="primes", h_prime_vec=lambda P: np.zeros(len(P)))
 
 
 def _two_squares_g2(p: int, e: int, a: int) -> Fraction:
@@ -200,15 +178,13 @@ def two_squares_model() -> SequenceModel:
             return Fraction(1, p)
         return Fraction(1)
 
-    fn = PrimePowerFn(
-        eval=h, average_k=Fraction(1, 2), bad_primes=frozenset({2}), label="two_squares"
-    )
     return SequenceModel(
-        h=fn,
-        label="two_squares",
-        gamma_override={2: Fraction(1)},
+        "two_squares",
+        h,
+        Fraction(1, 2),
+        lambda P: np.where(P % 4 == 1, 1.0, 1.0 / P),
+        bad_primes=frozenset({2}),
         g_bad=_two_squares_g2,
-        h_prime_vec=lambda P: np.where(P % 4 == 1, 1.0, 1.0 / P),
     )
 
 
@@ -225,12 +201,8 @@ def rough_model(y: int) -> SequenceModel:
     # every prime the default walk visits: it would save nothing and cost
     # memory growing with y.
     tail = frozenset(iter_primes(y - 1)) if y <= _TAIL_SET_MAX else None
-    fn = PrimePowerFn(
-        eval=h, average_k=Fraction(1), bad_primes=frozenset(), label=f"rough_{y}",
-        tail_primes=tail,
-    )
     return SequenceModel(
-        h=fn, label=f"rough_{y}", h_prime_vec=lambda P: np.where(P >= y, 1.0, 0.0)
+        f"rough_{y}", h, Fraction(1), lambda P: np.where(P >= y, 1.0, 0.0), tail_primes=tail
     )
 
 
@@ -262,13 +234,6 @@ def quadform_model(form: qf.BinaryQuadraticForm) -> SequenceModel:
         Pf = P.astype(np.float64)
         return np.where(chi == 1, 2.0 - 1.0 / Pf, 1.0 / Pf)
 
-    fn = PrimePowerFn(
-        eval=h, average_k=Fraction(1), bad_primes=bad, label=f"quadform_{form.label()}"
-    )
     return SequenceModel(
-        h=fn,
-        label=f"quadform_{form.label()}",
-        gamma_override={p: Fraction(1) for p in bad},
-        g_bad=g_bad,
-        h_prime_vec=h_vec,
+        f"quadform_{form.label()}", h, Fraction(1), h_vec, bad_primes=bad, g_bad=g_bad
     )

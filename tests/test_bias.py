@@ -26,10 +26,10 @@ def _half_model():
             return Fraction(1)
         return Fraction(1) if e % 2 == 0 else Fraction(1, p)
 
-    fn = mf.PrimePowerFn(
-        eval=h, average_k=Fraction(1, 2), bad_primes=frozenset(), label="half"
-    )
-    return mf.SequenceModel(h=fn, label="half")
+    def h_vec(P):
+        return np.where((P == 2) | (P % 4 == 1), 1.0, 1.0 / P)
+
+    return mf.SequenceModel("half", h, Fraction(1, 2), h_vec)
 
 
 HALF = _half_model()
@@ -72,7 +72,7 @@ TAIL_SHIFTS = [s * a for a in range(1, 31) for s in (1, -1)] + [143, 211, 9973 *
 
 def _undeclared(model):
     """The same model with tail_primes removed: the tail walks every prime."""
-    return dataclasses.replace(model, h=dataclasses.replace(model.h, tail_primes=None))
+    return dataclasses.replace(model, tail_primes=None)
 
 
 def test_tail_primes_are_where_the_euler_factor_is_not_1():
@@ -80,7 +80,7 @@ def test_tail_primes_are_where_the_euler_factor_is_not_1():
         kn = model.k.numerator
         for p in iter_primes(10**5):
             factor = (1 - model.h_pp(p, 1) / p) / Fraction(p - 1, p) ** kn
-            assert (factor != 1) == (p in model.h.tail_primes), (model.label, p)
+            assert (factor != 1) == (p in model.tail_primes), (model.label, p)
 
 
 @pytest.mark.parametrize("P_trunc, shifts, Ms", [

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from disclab.errors import ConfigurationError, OutOfRangeError
+from disclab.errors import ConfigurationError, DomainError, OutOfRangeError
 from disclab import factorint as fi
+from disclab import multfn as mf
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,15 @@ def test_factor_out_of_range(tables):
         fi.factor(0, tables)
     with pytest.raises(OutOfRangeError):
         fi.factor(tables.limit + 1, tables)
+
+
+def test_zero_has_no_factorization():
+    # factor(0, tables) above is a table lookup out of range; these take any
+    # integer and refuse 0 as outside their domain
+    for fn in (fi.phi, fi.divisors, fi.omega, fi.moebius, fi.as_factored,
+               mf.primes_model().h_of):
+        with pytest.raises(DomainError):
+            fn(0)
 
 
 def test_build_tables_limit_validation():

@@ -281,11 +281,32 @@ def test_dyadic_windows_telescope_to_full():
     assert math.fsum(parts) + head == pytest.approx(full, rel=1e-12)
 
 
-def test_resource_guard():
+def test_resource_guard(monkeypatch):
+    # refused before any sieve
+    def no_sieve(*args):
+        raise AssertionError("sieved past the dense-array budget")
+
+    monkeypatch.setattr(sq, "sieve", no_sieve)
+    x = sq.MAX_WINDOW + 1
     with pytest.raises(ResourceError):
-        h.empirical_average(
-            h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=sq.MAX_WINDOW + 1, M=10.0)
-        )
+        h.empirical_average(h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=x, M=10.0))
+    with pytest.raises(ResourceError):
+        h.divisor_switch_check(sq.PrimesLambda(), 3, x, 20.0)
+
+
+def test_window_must_cover_the_run():
+    x = 1000
+    kind = sq.PrimesLambda()
+    cfg = h.ExperimentConfig(kind=kind, a=1, x=x, M=10.0)
+    for win in (
+        sq.sieve(sq.SumTwoSquares(), 1, x),  # another family
+        sq.sieve(kind, 2, x),
+        sq.sieve(kind, 1, x - 1),
+    ):
+        with pytest.raises(ConfigurationError):
+            h.empirical_average(cfg, window=win)
+        with pytest.raises(ConfigurationError):
+            h.divisor_switch_check(kind, 3, x, 20.0, window=win)
 
 
 def test_s5_degenerate_and_monotone_tail():

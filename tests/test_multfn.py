@@ -48,7 +48,13 @@ def test_quadform_gamma_example(models):
     assert m.h_pp(5, 1) == Fraction(9, 5)
     assert mf.gamma_q(m, 5) == Fraction(5, 4)
     assert mf.gamma_q(m, 3) == Fraction(3, 4)  # chi(3) = -1
-    assert mf.gamma_q(m, 2) == 1  # bad-prime override
+    # gamma is 1 at every bad prime: 2 and 23 for 2x^2 + xy + 3y^2 (disc -23),
+    # 2 for x^2 + y^2 and for the sums of two squares
+    assert mf.gamma_q(m, 2) == 1
+    m23 = mf.quadform_model(qf.BinaryQuadraticForm(2, 1, 3))
+    assert m23.bad_primes == {2, 23}
+    assert mf.gamma_q(m23, 2) == mf.gamma_q(m23, 23) == mf.gamma_q(m23, 46) == 1
+    assert mf.gamma_q(models["two_squares"], 2) == 1
 
 
 def test_two_squares_g_odd_prime_cases(models):
@@ -192,11 +198,6 @@ def test_h_of_two_squares(models):
 
 
 def test_model_violation_detected():
-    bad = mf.SequenceModel(
-        h=mf.PrimePowerFn(
-            eval=lambda p, e: Fraction(p), average_k=Fraction(1), bad_primes=frozenset(), label="bad"
-        ),
-        label="bad",
-    )
+    bad = mf.SequenceModel("bad", lambda p, e: Fraction(p), Fraction(1), lambda P: P * 1.0)
     with pytest.raises(ModelError):
         mf.gamma_q(bad, 6)
