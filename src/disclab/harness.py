@@ -7,18 +7,22 @@ grows (the difference does not vanish: for primes at a = +-1,
 M*S5 - mu_leading tends to -C5, and bias.predict_s5 gives the full expected
 value); divisor_switch_check verifies the exact count-swapping identity used
 to control large moduli.
-Everything reduces floats in a fixed order so repeated runs are bit-identical.
+Everything reduces floats in a fixed order so repeated runs are bit-identical,
+at every thread count: empirical_average hands each thread a contiguous
+q-range of sums formed in a fixed order, and s5_sums sums its tail in fixed
+blocks of _TAIL_BLOCK moduli on a thread pool, from one LocalRatios table
+built before the pool starts, and reduces the blocks with fsum in order.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -34,7 +38,8 @@ from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedE
 from .factorint import as_factored, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
-_BLOCK = 10**7
+_BLOCK = 10**7  # widest window of g_range and ktuple_term_range
+_TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
 
 _FILTERS = ("none", "a", "P")
 _MODES = ("full", "dyadic")
@@ -144,27 +149,56 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
     return G
 
 
-def g_range(model: mf.SequenceModel, a, lo: int, hi: int) -> np.ndarray:
+class LocalRatios:
+    """The local factors of g_a for blocks of moduli up to top, built once.
+
+    ratios[p][e - 1] is g_a(p^e) / g_a(p^(e-1)) as a float, from the exact
+    Fractions, for every p^e <= top with p <= sqrt(top) or p among extra:
+    the divisors of a and the model's bad primes.  All Fraction arithmetic
+    happens here; sieve only reads the table, so one table serves every
+    block of a tail and every thread at once.
+    """
+
+    def __init__(self, model: mf.SequenceModel, a, top: int):
+        afac = as_factored(a)
+        self.model, self.a, self.top = model, afac.value, top
+        self.extra = {p for p, _ in afac.factors} | set(model.bad_primes)
+        primes = set(iter_primes(math.isqrt(top))) | {p for p in self.extra if p <= top}
+        self.ratios = {p: self._powers(p, afac) for p in sorted(primes)}
+
+    def _powers(self, p: int, afac) -> tuple[float, ...]:
+        out, prev, pe, e = [], Fraction(1), p, 1
+        while pe <= self.top:
+            g = mf.g_local(self.model, p, e, afac)
+            out.append(0.0 if prev == 0 else float(g / prev))
+            prev, pe, e = g, pe * p, e + 1
+        return tuple(out)
+
+    def sieve(self, a, lo: int, hi: int) -> np.ndarray:
+        """g_a(q) for q in [lo, hi] within the table's [1, top]."""
+        if as_factored(a).value != self.a or hi > self.top:
+            raise DomainError(f"table for a={self.a} up to {self.top} used for a={a} up to {hi}")
+
+        def leftover(P: np.ndarray) -> np.ndarray:
+            Pf = P.astype(np.float64)
+            return (1.0 - self.model.h_prime_vec(P) / Pf) / (Pf - 1.0)
+
+        ratios = self.ratios
+        return _multiplicative_sieve(lo, hi, lambda p, e: ratios[p][e - 1], self.extra, leftover)
+
+
+def g_range(model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int) -> np.ndarray:
     """g_a(q) for q in [lo, hi], one float per q.
 
     Prime powers carry the exact local ratio; divisors of a and the model's
     bad primes above sqrt(hi) are strided exactly too, and the other
-    leftover primes get the model's bulk h(p) rule, h_prime_vec.
+    leftover primes get the model's bulk h(p) rule, h_prime_vec.  model is
+    a SequenceModel, or a LocalRatios table already built for a and some
+    top >= hi (s5_sums passes one per tail); the output is the same.
     """
     _check_window(lo, hi)
-    afac = as_factored(a)
-    gl = functools.cache(lambda p, e: mf.g_local(model, p, e, afac))
-
-    def ratio(p: int, e: int) -> float:
-        prev = Fraction(1) if e == 1 else gl(p, e - 1)
-        return 0.0 if prev == 0 else float(gl(p, e) / prev)
-
-    def leftover(P: np.ndarray) -> np.ndarray:
-        Pf = P.astype(np.float64)
-        return (1.0 - model.h_prime_vec(P) / Pf) / (Pf - 1.0)
-
-    extra = {p for p, _ in afac.factors} | set(model.bad_primes)
-    return _multiplicative_sieve(lo, hi, ratio, extra, leftover)
+    table = model if isinstance(model, LocalRatios) else LocalRatios(model, a, hi)
+    return table.sieve(a, lo, hi)
 
 
 def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
@@ -366,10 +400,18 @@ def empirical_average(
 # the smoothed-minus-sharp sum of the bias expansion
 
 
-def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
+def s5_sums(
+    model: mf.SequenceModel, a, M: float, R: float, x: int, threads: int | None = None
+) -> S5Sums:
     """S_R - S_M - S_tail where S_T smooths g_a(r)(1 - r/T) and the tail
-    runs the unsmoothed sum over x/R < q <= x/M.  Direct summation throughout;
-    the tail is walked in fixed-size blocks."""
+    runs the unsmoothed sum over x/R < q <= x/M.  Direct summation throughout.
+
+    The tail is cut into fixed blocks of _TAIL_BLOCK moduli, which threads
+    workers (None: every core) sum with one LocalRatios table built before
+    they start.  The block sums are reduced with fsum in block order, and the
+    blocks do not depend on threads, so S_tail has the same bits at every
+    thread count.
+    """
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
     if R**2 > x:
@@ -382,12 +424,18 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     )
     lo = int(x / R) + 1
     hi = int(x / M)
+    blocks = [(b, min(b + _TAIL_BLOCK - 1, hi)) for b in range(lo, hi + 1, _TAIL_BLOCK)]
     parts = []
-    blo = lo
-    while blo <= hi:
-        bhi = min(blo + _BLOCK - 1, hi)
-        parts.append(float(np.sum(g_range(model, a, blo, bhi))))
-        blo = bhi + 1
+    if blocks:
+        table = LocalRatios(model, a, hi)
+
+        def block_sum(bounds: tuple[int, int]) -> float:
+            # through g_range, so a wrapper of it (a tracer, a check) sees every block
+            return float(np.sum(g_range(table, a, *bounds)))
+
+        workers = max(1, min(threads or os.cpu_count() or 1, len(blocks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block_sum, blocks))
     S_tail = math.fsum(parts)
     return S5Sums(S_R, S_M, S_tail, S_R - S_M - S_tail)
 

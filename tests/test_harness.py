@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,54 @@ def test_s5_degenerate_and_monotone_tail():
     assert s.S5 == 0.0 and s.S_tail == 0.0
     tails = [h.s5_sums(model, 1, M, 900.0, 10**6).S_tail for M in (50.0, 100.0, 200.0)]
     assert tails[0] > tails[1] > tails[2] > 0
+
+
+def _check_s5_tail(model, a, M, R, x):
+    """S_tail at threads 1, 2 and 4 is one value: the fsum of the per-block
+    sums of g_range, in block order, and the sum of one g_range within 1e-12."""
+    lo, hi = int(x / R) + 1, int(x / M)
+    tails = [h.s5_sums(model, a, M, R, x, threads=t).S_tail for t in (1, 2, 4)]
+    assert len({repr(t) for t in tails}) == 1, (model.label, a, tails)
+    blocks = range(lo, hi + 1, h._TAIL_BLOCK)
+    per_block = [
+        float(np.sum(h.g_range(model, a, b, min(b + h._TAIL_BLOCK - 1, hi)))) for b in blocks
+    ]
+    assert tails[0] == math.fsum(per_block), (model.label, a)
+    whole = float(np.sum(h.g_range(model, a, lo, hi)))
+    assert tails[0] == pytest.approx(whole, rel=1e-12), (model.label, a)
+
+
+def test_s5_tail_same_bits_at_every_thread_count(monkeypatch):
+    # x/R < q <= x/M is three full blocks and a partial fourth; 60042 = 6 *
+    # 10007 has a prime factor above sqrt(x/M), which only the table's extra
+    # primes carry, and two_squares has the bad prime 2
+    M, R, x = 3.0, 100.0, 10**7
+    assert 3 * h._TAIL_BLOCK < x / M - x / R < 4 * h._TAIL_BLOCK
+    cases = [
+        (mf.primes_model(), 1),
+        (mf.primes_model(), 6),
+        (mf.primes_model(), 60042),
+        (mf.rough_model(7), 1),
+        (mf.two_squares_model(), 5),
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for model, a in cases:
+            _check_s5_tail(model, a, M, R, x)
+        # 88 blocks, where a sum in any other order or precision than fsum
+        # of the blocks in order would show in the last bits
+        monkeypatch.setattr(h, "_TAIL_BLOCK", 2**10)
+        for model, a in cases[:2]:
+            _check_s5_tail(model, a, 10.0, 100.0, 10**6)
+    finally:
+        sys.setswitchinterval(switch)
+    table = h.LocalRatios(mf.primes_model(), 6, 1000)
+    assert np.array_equal(h.g_range(table, 6, 500, 1000), h.g_range(mf.primes_model(), 6, 500, 1000))
+    with pytest.raises(DomainError):
+        h.g_range(table, 5, 500, 1000)
+    with pytest.raises(DomainError):
+        h.g_range(table, 6, 500, 1001)
 
 
 def test_s5_matches_fraction_oracle():
