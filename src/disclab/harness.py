@@ -10,8 +10,9 @@ to control large moduli.
 Everything reduces floats in a fixed order so repeated runs are bit-identical,
 at every thread count: empirical_average hands each thread a contiguous
 q-range of sums formed in a fixed order, and s5_sums sums its tail in fixed
-blocks of _TAIL_BLOCK moduli on a thread pool, from one LocalRatios table
-built before the pool starts, and reduces the blocks with fsum in order.
+blocks of _TAIL_BLOCK moduli on a pool of one thread per core, from one
+LocalRatios table built before the pool starts, and reduces the blocks with
+fsum in order.
 """
 
 from __future__ import annotations
@@ -150,34 +151,38 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
 
 
 class LocalRatios:
-    """The local factors of g_a for blocks of moduli up to top, built once.
+    """The local factors of g_a for blocks of moduli in [lo, hi], built once.
 
     ratios[p][e - 1] is g_a(p^e) / g_a(p^(e-1)) as a float, from the exact
-    Fractions, for every p^e <= top with p <= sqrt(top) or p among extra:
-    the divisors of a and the model's bad primes.  All Fraction arithmetic
-    happens here; sieve only reads the table, so one table serves every
-    block of a tail and every thread at once.
+    Fractions, for every p^e with a multiple in [lo, hi] and p <= sqrt(hi)
+    or p among extra: the divisors of a and the model's bad primes.  Those
+    are the powers the sieve strides in any block inside [lo, hi].  All
+    Fraction arithmetic happens here; sieve only reads the table, so one
+    table serves every block of a tail and every thread at once.
     """
 
-    def __init__(self, model: mf.SequenceModel, a, top: int):
+    def __init__(self, model: mf.SequenceModel, a, lo: int, hi: int):
         afac = as_factored(a)
-        self.model, self.a, self.top = model, afac.value, top
+        self.model, self.a, self.lo, self.hi = model, afac.value, lo, hi
         self.extra = {p for p, _ in afac.factors} | set(model.bad_primes)
-        primes = set(iter_primes(math.isqrt(top))) | {p for p in self.extra if p <= top}
-        self.ratios = {p: self._powers(p, afac) for p in sorted(primes)}
+        primes = set(iter_primes(math.isqrt(hi))) | {p for p in self.extra if p <= hi}
+        touched = (p for p in sorted(primes) if (lo + p - 1) // p * p <= hi)
+        self.ratios = {p: self._powers(p, afac) for p in touched}
 
     def _powers(self, p: int, afac) -> tuple[float, ...]:
         out, prev, pe, e = [], Fraction(1), p, 1
-        while pe <= self.top:
+        while pe <= self.hi and (self.lo + pe - 1) // pe * pe <= self.hi:
             g = mf.g_local(self.model, p, e, afac)
             out.append(0.0 if prev == 0 else float(g / prev))
             prev, pe, e = g, pe * p, e + 1
         return tuple(out)
 
     def sieve(self, a, lo: int, hi: int) -> np.ndarray:
-        """g_a(q) for q in [lo, hi] within the table's [1, top]."""
-        if as_factored(a).value != self.a or hi > self.top:
-            raise DomainError(f"table for a={self.a} up to {self.top} used for a={a} up to {hi}")
+        """g_a(q) for q in [lo, hi] within the table's range."""
+        if as_factored(a).value != self.a or lo < self.lo or hi > self.hi:
+            raise DomainError(
+                f"table for a={self.a} on [{self.lo}, {self.hi}] used for a={a} on [{lo}, {hi}]"
+            )
 
         def leftover(P: np.ndarray) -> np.ndarray:
             Pf = P.astype(np.float64)
@@ -193,11 +198,12 @@ def g_range(model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int) -> np.nd
     Prime powers carry the exact local ratio; divisors of a and the model's
     bad primes above sqrt(hi) are strided exactly too, and the other
     leftover primes get the model's bulk h(p) rule, h_prime_vec.  model is
-    a SequenceModel, or a LocalRatios table already built for a and some
-    top >= hi (s5_sums passes one per tail); the output is the same.
+    a SequenceModel, whose table is built for [lo, hi] alone, or a
+    LocalRatios table already built for a on a range that holds [lo, hi]
+    (s5_sums passes one per tail); the output is the same.
     """
     _check_window(lo, hi)
-    table = model if isinstance(model, LocalRatios) else LocalRatios(model, a, hi)
+    table = model if isinstance(model, LocalRatios) else LocalRatios(model, a, lo, hi)
     return table.sieve(a, lo, hi)
 
 
@@ -400,17 +406,15 @@ def empirical_average(
 # the smoothed-minus-sharp sum of the bias expansion
 
 
-def s5_sums(
-    model: mf.SequenceModel, a, M: float, R: float, x: int, threads: int | None = None
-) -> S5Sums:
+def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     """S_R - S_M - S_tail where S_T smooths g_a(r)(1 - r/T) and the tail
     runs the unsmoothed sum over x/R < q <= x/M.  Direct summation throughout.
 
-    The tail is cut into fixed blocks of _TAIL_BLOCK moduli, which threads
-    workers (None: every core) sum with one LocalRatios table built before
-    they start.  The block sums are reduced with fsum in block order, and the
-    blocks do not depend on threads, so S_tail has the same bits at every
-    thread count.
+    The tail is cut into fixed blocks of _TAIL_BLOCK moduli, which one
+    worker per core sums with one LocalRatios table built before they
+    start.  The block sums are reduced with fsum in block order, and the
+    blocks do not depend on the worker count, so S_tail has the same bits
+    on every machine.
     """
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
@@ -427,13 +431,13 @@ def s5_sums(
     blocks = [(b, min(b + _TAIL_BLOCK - 1, hi)) for b in range(lo, hi + 1, _TAIL_BLOCK)]
     parts = []
     if blocks:
-        table = LocalRatios(model, a, hi)
+        table = LocalRatios(model, a, lo, hi)
 
         def block_sum(bounds: tuple[int, int]) -> float:
             # through g_range, so a wrapper of it (a tracer, a check) sees every block
             return float(np.sum(g_range(table, a, *bounds)))
 
-        workers = max(1, min(threads or os.cpu_count() or 1, len(blocks)))
+        workers = min(os.cpu_count() or 1, len(blocks))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(block_sum, blocks))
     S_tail = math.fsum(parts)

@@ -15,7 +15,7 @@ from disclab import ktuples as kt
 from disclab import multfn as mf
 from disclab import sequences as sq
 from disclab.errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
-from disclab.factorint import phi
+from disclab.factorint import iter_primes, phi
 from disclab.quadform import BinaryQuadraticForm
 
 
@@ -319,10 +319,14 @@ def test_s5_degenerate_and_monotone_tail():
 
 
 def _check_s5_tail(model, a, M, R, x):
-    """S_tail at threads 1, 2 and 4 is one value: the fsum of the per-block
+    """S_tail on 1, 2 and 4 cores is one value: the fsum of the per-block
     sums of g_range, in block order, and the sum of one g_range within 1e-12."""
     lo, hi = int(x / R) + 1, int(x / M)
-    tails = [h.s5_sums(model, a, M, R, x, threads=t).S_tail for t in (1, 2, 4)]
+    tails = []
+    with pytest.MonkeyPatch.context() as m:
+        for cores in (1, 2, 4):
+            m.setattr(h.os, "cpu_count", lambda: cores)
+            tails.append(h.s5_sums(model, a, M, R, x).S_tail)
     assert len({repr(t) for t in tails}) == 1, (model.label, a, tails)
     blocks = range(lo, hi + 1, h._TAIL_BLOCK)
     per_block = [
@@ -358,12 +362,24 @@ def test_s5_tail_same_bits_at_every_thread_count(monkeypatch):
             _check_s5_tail(model, a, 10.0, 100.0, 10**6)
     finally:
         sys.setswitchinterval(switch)
-    table = h.LocalRatios(mf.primes_model(), 6, 1000)
-    assert np.array_equal(h.g_range(table, 6, 500, 1000), h.g_range(mf.primes_model(), 6, 500, 1000))
-    with pytest.raises(DomainError):
-        h.g_range(table, 5, 500, 1000)
-    with pytest.raises(DomainError):
-        h.g_range(table, 6, 500, 1001)
+
+
+def test_local_ratios_cover_their_range():
+    primes = mf.primes_model()
+    table = h.LocalRatios(primes, 6, 500, 1000)
+    assert np.array_equal(h.g_range(table, 6, 600, 1000), h.g_range(primes, 6, 600, 1000))
+    for a, lo, hi in ((5, 500, 1000), (6, 499, 1000), (6, 500, 1001)):
+        with pytest.raises(DomainError):
+            h.g_range(table, a, lo, hi)
+    # a narrow window far out holds only the powers with a multiple in it
+    lo, hi = 10**9, 10**9 + 999
+    table = h.LocalRatios(primes, 1, lo, hi)
+    touched = {}
+    for p in iter_primes(math.isqrt(hi)):
+        powers = [e for e in range(1, 31) if (lo + p**e - 1) // p**e * p**e <= hi]
+        if powers:
+            touched[p] = len(powers)
+    assert {p: len(r) for p, r in table.ratios.items()} == touched
 
 
 def test_s5_matches_fraction_oracle():
