@@ -1,4 +1,4 @@
-"""Integer factorization tables, multiplicative basics, and the Kronecker symbol.
+"""Integer factorization, multiplicative basics, and the Kronecker symbol.
 
 Factorizations are carried around as tuples of (prime, exponent) pairs so the
 layers above can evaluate multiplicative functions without re-factoring.
@@ -12,9 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, OutOfRangeError
-
-MAX_TABLE_LIMIT = 10**9
+from .errors import DomainError, OutOfRangeError
 
 Factorization = tuple[tuple[int, int], ...]
 
@@ -34,46 +32,9 @@ class FactoredInteger:
             raise ValueError(f"inconsistent factorization for {self.value}: {self.factors}")
 
 
-@dataclass
-class SieveTables:
-    """Smallest-prime-factor table for 2..limit plus the prime list."""
-
-    limit: int
-    spf: np.ndarray
-
-    _primes: np.ndarray = None
-
-    @property
-    def primes(self) -> np.ndarray:
-        if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-            self._primes = np.nonzero(self.spf == idx)[0][1:]  # drop index 1
-        return self._primes
-
-
-def build_tables(limit: int) -> SieveTables:
-    """Sieve smallest prime factors for every n in 2..limit.
-
-    Memory is the dominant cost: 4 bytes per integer up to the hard cap of
-    MAX_TABLE_LIMIT.
-    """
-    if not (2 <= limit <= MAX_TABLE_LIMIT):
-        raise ConfigurationError(f"table limit must be in [2, {MAX_TABLE_LIMIT}], got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    # remaining zeros (other than 0,1) are primes
-    rest = np.nonzero(spf == 0)[0]
-    spf[rest] = rest
-    spf[0] = 0
-    spf[1] = 1
-    return SieveTables(limit=limit, spf=spf)
-
-
 def spf_window(lo: int, hi: int) -> np.ndarray:
-    """Smallest prime factor for each n in [lo, hi) without a full table.
+    """Smallest prime factor for each n in [lo, hi), sieved by the primes up
+    to sqrt(hi - 1).
 
     Entries equal to the element itself mark primes (or lo == 1).
     """
@@ -102,23 +63,6 @@ def iter_primes(limit: int) -> Iterable[int]:
         if sieve[p]:
             sieve[p * p :: p] = False
     return [int(p) for p in np.nonzero(sieve)[0]]
-
-
-def factor(n: int, tables: SieveTables) -> FactoredInteger:
-    """Factor 1 <= n <= tables.limit by walking the SPF table."""
-    if not (1 <= n <= tables.limit):
-        raise OutOfRangeError(f"n={n} outside table range [1, {tables.limit}]")
-    factors = []
-    m = n
-    spf = tables.spf
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return FactoredInteger(value=n, factors=tuple(factors))
 
 
 # deterministic Miller-Rabin bases valid for all n < 3.3 * 10**24
@@ -180,12 +124,8 @@ def _brent_rho(n: int) -> int:
         seed += 1
 
 
-def factor_general(n: int, tables: SieveTables = None) -> FactoredInteger:
-    """Factor any n >= 1: SPF table when available, else trial division + rho."""
-    if n < 1:
-        raise OutOfRangeError(f"factor_general needs n >= 1, got {n}")
-    if tables is not None and n <= tables.limit:
-        return factor(n, tables)
+def _factor(n: int) -> Factorization:
+    """The factorization of n >= 1: trial division, then Brent's rho."""
     counts = {}
     m = n
     for p in (2, 3, 5):
@@ -212,7 +152,7 @@ def factor_general(n: int, tables: SieveTables = None) -> FactoredInteger:
         d = _brent_rho(v)
         stack.append(d)
         stack.append(v // d)
-    return FactoredInteger(value=n, factors=tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def factors_of(n) -> Factorization:
@@ -223,7 +163,7 @@ def factors_of(n) -> Factorization:
     n = int(n)
     if n == 0:
         raise DomainError("expected a nonzero integer")
-    return factor_general(abs(n)).factors
+    return _factor(abs(n))
 
 
 def as_factored(n) -> FactoredInteger:
@@ -239,18 +179,6 @@ def phi(n) -> int:
     for p, e in factors_of(n):
         out *= p ** (e - 1) * (p - 1)
     return out
-
-
-def moebius(n) -> int:
-    fs = factors_of(n)
-    if any(e >= 2 for _, e in fs):
-        return 0
-    return -1 if len(fs) % 2 else 1
-
-
-def omega(n) -> int:
-    """Number of distinct prime factors."""
-    return len(factors_of(n))
 
 
 def divisors(n) -> list:

@@ -321,7 +321,7 @@ def _dense_window(
 ) -> sq.SievedWindow:
     """The window a run over [1, x] sums: refused above the dense-array
     budget before any work, sieved when none is given, else checked to
-    cover [1, x] for kind."""
+    cover [1, x] for kind with kind's weight type."""
     if x > sq.MAX_WINDOW:
         raise ResourceError(f"x={x} above dense-array budget {sq.MAX_WINDOW}")
     if window is None:
@@ -330,6 +330,11 @@ def _dense_window(
         raise ConfigurationError(
             f"window {window.kind_label} [{window.lo}, {window.hi}] does not "
             f"cover [1, {x}] for {kind.label()}"
+        )
+    if (window.weights.dtype == np.int64) != kind.integer_weights:
+        raise ConfigurationError(
+            f"window {window.kind_label} has {window.weights.dtype} weights; "
+            f"{kind.label()} needs {'int64' if kind.integer_weights else 'float64'}"
         )
     return window
 

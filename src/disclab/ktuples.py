@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError
-from .factorint import as_factored, factor_general, iter_primes
+from .errors import ConfigurationError, DomainError, OutOfRangeError
+from .factorint import as_factored, factors_of, iter_primes
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,9 @@ def modified_tuple(H: KTuple, q: int, a: int) -> KTuple:
 
 def gamma_H(H: KTuple, q: int) -> Fraction:
     """prod over p | q of (1 - nu(p)/p), exact."""
+    if q < 1:
+        raise OutOfRangeError(f"modulus must be positive, got {q}")
     out = Fraction(1)
-    for p, _ in factor_general(q).factors:
+    for p, _ in factors_of(q):
         out *= Fraction(p - nu_H(H, p), p)
     return out

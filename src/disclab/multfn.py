@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .factorint import FactoredInteger, as_factored, factor_general, factors_of, iter_primes
+from .factorint import FactoredInteger, as_factored, factors_of, iter_primes
 from . import quadform as qf
 
 
@@ -213,7 +213,7 @@ def quadform_model(form: qf.BinaryQuadraticForm) -> SequenceModel:
     2*disc take their densities from the closed-form solution counts.
     """
     d = form.disc
-    bad = frozenset(p for p, _ in factor_general(2 * abs(d)).factors)
+    bad = frozenset(p for p, _ in factors_of(2 * d))
 
     def h(p, e):
         if p in bad:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, UnsupportedError
-from .factorint import factor_general, kronecker
+from .factorint import factors_of, kronecker
 
 BRUTE_CAP = 5000
 
@@ -163,7 +163,7 @@ def Ra_closed(form: BinaryQuadraticForm, a: int, q: int) -> int:
     if a == 0:
         raise DomainError("a must be a nonzero integer")
     out = 1
-    for p, e in factor_general(q).factors:
+    for p, e in factors_of(q):
         out *= Ra_closed_pp(form, a, p, e)
     return out
 
@@ -181,7 +181,7 @@ def r_d(d: int, n: int) -> int:
     if math.gcd(n, 2 * abs(d)) != 1:
         raise DomainError(f"r_d needs gcd(n, 2d) = 1, got n={n}, d={d}")
     out = 1
-    for p, e in factor_general(n).factors:
+    for p, e in factors_of(n):
         chi = kronecker(4 * d, p)
         if chi == 1:
             out *= e + 1
@@ -217,7 +217,7 @@ def ramanujan_closed(q: int, a: int) -> int:
     if q < 1:
         raise OutOfRangeError(f"modulus must be positive, got {q}")
     val = 1
-    for p, e in factor_general(q).factors:
+    for p, e in factors_of(q):
         below = p ** (e - 1)
         if a % (below * p) == 0:
             val *= below * (p - 1)

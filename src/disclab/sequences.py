@@ -23,12 +23,14 @@ import numpy as np
 from . import bias
 from . import multfn as mf
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
-from .factorint import MAX_TABLE_LIMIT, as_factored, iter_primes, spf_window
+from .factorint import as_factored, iter_primes, spf_window
 from .ktuples import TWIN, KTuple, P_of, is_admissible, nu_H, parse_tuple
 from .quadform import BinaryQuadraticForm, parse_form, r_d, rho_a
 
 # widest dense window a single sieve call may allocate
 MAX_WINDOW = 6 * 10**7
+# largest n any window may reach
+MAX_TABLE_LIMIT = 10**9
 
 _CACHE_MAGIC = b"DLSW"
 _CACHE_VERSION = 1
@@ -527,6 +529,8 @@ def load_window(path: str) -> SievedWindow:
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: label is not UTF-8") from exc
         lo, hi, count, float_weights = struct.unpack("<qqQB", fh.read(25))
+        if float_weights not in (0, 1):
+            raise DomainError(f"{path}: weight-type flag {float_weights} is neither 0 nor 1")
         if size != header + 16 * count:
             raise DomainError(
                 f"{path}: {size} bytes, but the header promises {header + 16 * count}"

@@ -19,7 +19,7 @@ from . import multfn as mf
 from . import quadform as qf
 from . import sequences as sq
 from .errors import ConfigurationError, DomainError, UnsupportedError
-from .factorint import build_tables, divisors, factor, iter_primes, kronecker, phi
+from .factorint import as_factored, divisors, iter_primes, kronecker, phi
 
 _MAX_DUMP = 5
 
@@ -125,14 +125,13 @@ def ramanujan_closed_vs_direct(depth: int):
 
 def normalization_identity(depth: int):
     q_max = 600 if depth == 1 else 10**4
-    tables = build_tables(q_max)
+    fac = [None] + [as_factored(n) for n in range(1, q_max + 1)]
     models = [mf.primes_model(), mf.quadform_model(_FORMS[0]), mf.rough_model(10)]
     for m in models:
         for q in range(1, q_max + 1):
             if any(q % p == 0 for p in m.bad_primes):
                 continue
-            fq = factor(q, tables)
-            total = sum(phi(factor(q // d, tables)) * mf.g_a(m, d, fq) for d in divisors(fq))
+            total = sum(phi(fac[q // d]) * mf.g_a(m, fac[d], fac[q]) for d in divisors(fac[q]))
             yield total == 1, f"model={m.label} q={q}: sum={total} != 1"
 
 

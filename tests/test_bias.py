@@ -9,10 +9,9 @@ from disclab import bias, ktuples
 from disclab import multfn as mf
 from disclab import sequences as sq
 from disclab.errors import ConfigurationError, DomainError, UnsupportedError
-from disclab.factorint import as_factored, build_tables, iter_primes
+from disclab.factorint import as_factored, iter_primes
 from disclab.quadform import BinaryQuadraticForm
 
-build_tables(10**4)
 
 PRIMES = mf.primes_model()
 ROUGH7 = mf.rough_model(7)

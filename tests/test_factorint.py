@@ -3,118 +3,87 @@ import math
 import numpy as np
 import pytest
 
-from disclab.errors import ConfigurationError, DomainError, OutOfRangeError
+from disclab.errors import DomainError
 from disclab import factorint as fi
 from disclab import multfn as mf
 
 
-@pytest.fixture(scope="module")
-def tables():
-    return fi.build_tables(10**6)
-
-
 def brute_spf(n):
-    for p in range(2, n + 1):
+    """Smallest prime factor of n >= 2 by trial division."""
+    for p in range(2, math.isqrt(n) + 1):
         if n % p == 0:
             return p
     return n
 
 
-def test_spf_small_examples(tables):
-    assert int(tables.spf[2]) == 2
-    assert int(tables.spf[91]) == 7
-    assert int(tables.spf[97]) == 97
-    assert int(tables.spf[999983]) == 999983  # prime near the table edge
+def assert_factors(n, fs):
+    prod = 1
+    for p, e in fs:
+        assert fi.is_prime(p) and e >= 1, (n, fs)
+        prod *= p**e
+    assert prod == n
+    assert [p for p, _ in fs] == sorted({p for p, _ in fs}), (n, fs)
 
 
-def test_spf_agrees_with_trial_division(tables):
-    for n in range(2, 10**4 + 1):
-        assert int(tables.spf[n]) == brute_spf(n)
+def test_factor_reconstructs():
+    for n in list(range(1, 2001)) + list(range(2001, 10**5 + 1, 97)):
+        assert_factors(n, fi.factors_of(n))
 
 
-def test_factor_reconstructs(tables):
-    for n in range(1, 10**5 + 1, 97):
-        fa = fi.factor(n, tables)
-        prod = 1
-        for p, e in fa.factors:
-            prod *= p**e
-        assert prod == n
-    # exhaustive on a smaller range
-    for n in range(1, 2001):
-        fa = fi.factor(n, tables)
-        prod = 1
-        for p, e in fa.factors:
-            prod *= p**e
-        assert prod == n
-        assert all(fi.is_prime(p) for p, _ in fa.factors)
+def test_factor_known_values():
+    assert fi.factors_of(999999) == ((3, 3), (7, 1), (11, 1), (13, 1), (37, 1))
+    assert fi.factors_of(1) == ()
+    assert fi.factors_of(2**19) == ((2, 19),)
+    assert fi.factors_of(-12) == ((2, 2), (3, 1))
+    fa = fi.as_factored(360)
+    assert fi.factors_of(fa) is fa.factors
 
 
-def test_factor_known_values(tables):
-    assert fi.factor(999999, tables).factors == ((3, 3), (7, 1), (11, 1), (13, 1), (37, 1))
-    assert fi.factor(1, tables).factors == ()
-    assert fi.factor(2**19, tables).factors == ((2, 19),)
-
-
-def test_factor_out_of_range(tables):
-    with pytest.raises(OutOfRangeError):
-        fi.factor(0, tables)
-    with pytest.raises(OutOfRangeError):
-        fi.factor(tables.limit + 1, tables)
+def test_factors_of_beyond_trial_division():
+    # trial division stops at 10**4 and Brent's rho splits the rest: the
+    # triple's batched gcd reaches n and is retried one step at a time, and
+    # 10243**2 and 10141 * 10313 fail on the first seed and need a second
+    p = 1000003
+    for n, want in [
+        (10**12 + 39, ((10**12 + 39, 1),)),  # prime
+        (p * 1000033, ((p, 1), (1000033, 1))),
+        (p**2, ((p, 2),)),
+        (p**3, ((p, 3),)),
+        (10007 * 10009 * 10037, ((10007, 1), (10009, 1), (10037, 1))),
+        (10243**2, ((10243, 2),)),
+        (10141 * 10313, ((10141, 1), (10313, 1))),
+    ]:
+        assert fi.factors_of(n) == want, n
+        assert_factors(n, want)
 
 
 def test_zero_has_no_factorization():
-    # factor(0, tables) above is a table lookup out of range; these take any
-    # integer and refuse 0 as outside their domain
-    for fn in (fi.phi, fi.divisors, fi.omega, fi.moebius, fi.as_factored,
-               mf.primes_model().h_of):
+    for fn in (fi.phi, fi.divisors, fi.factors_of, fi.as_factored, mf.primes_model().h_of):
         with pytest.raises(DomainError):
             fn(0)
 
 
-def test_build_tables_limit_validation():
-    with pytest.raises(ConfigurationError):
-        fi.build_tables(1)
-    with pytest.raises(ConfigurationError):
-        fi.build_tables(fi.MAX_TABLE_LIMIT + 1)
+def test_spf_window_matches_direct():
+    square = 1009**2
+    for lo, hi in [(1, 500), (2, 500), (10**9 - 1000, 10**9), (square - 300, square + 1)]:
+        win = fi.spf_window(lo, hi)
+        assert len(win) == hi - lo and win.dtype == np.int64
+        for i, n in enumerate(range(lo, hi)):
+            if n == 1:
+                assert win[i] == 1
+                continue
+            assert win[i] == brute_spf(n), n
+            assert (win[i] == n) == fi.is_prime(n), n
+    assert fi.spf_window(square - 300, square + 1)[-1] == 1009
 
 
-def test_spf_window_matches_direct(tables):
-    lo, hi = 999000, 1000000
-    win = fi.spf_window(lo, hi)
-    assert np.array_equal(win, tables.spf[lo:hi].astype(np.int64))
-    win2 = fi.spf_window(1, 500)
-    for i, n in enumerate(range(1, 500)):
-        assert win2[i] == (1 if n == 1 else brute_spf(n))
-
-
-def test_factor_general_beyond_table(tables):
-    n = 10**12 + 39  # 93199 * 10729961
-    fa = fi.factor_general(n, tables)
-    prod = 1
-    for p, e in fa.factors:
-        prod *= p**e
-        assert fi.is_prime(p)
-    assert prod == n
-    semiprime = 1000003 * 1000033
-    fa2 = fi.factor_general(semiprime)
-    assert fa2.factors == ((1000003, 1), (1000033, 1))
-
-
-def test_phi_moebius_omega(tables):
+def test_phi_matches_gcd_count():
     def phi_brute(n):
         return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
 
     for n in range(1, 301):
-        fa = fi.factor(n, tables)
-        assert fi.phi(fa) == phi_brute(n)
-    assert fi.moebius(fi.factor(30, tables)) == -1
-    assert fi.moebius(fi.factor(12, tables)) == 0
-    assert fi.moebius(fi.factor(1, tables)) == 1
-    assert fi.omega(fi.factor(360, tables)) == 3
-    # moebius * identity convolution: sum_{d|n} mu(d) = [n == 1]
-    for n in range(1, 200):
-        total = sum(fi.moebius(fi.factor(d, tables)) for d in fi.divisors(n))
-        assert total == (1 if n == 1 else 0)
+        assert fi.phi(n) == phi_brute(n)
+        assert fi.phi(fi.as_factored(n)) == phi_brute(n)
 
 
 def brute_kronecker_odd_prime(a, p):
@@ -123,7 +92,7 @@ def brute_kronecker_odd_prime(a, p):
     return count - 1
 
 
-def test_kronecker_against_square_counts(tables):
+def test_kronecker_against_square_counts():
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29]:
         for a in range(-30, 31):
             assert fi.kronecker(a, p) == brute_kronecker_odd_prime(a, p)

@@ -310,6 +310,26 @@ def test_window_must_cover_the_run():
             h.divisor_switch_check(kind, 3, x, 20.0, window=win)
 
 
+def test_window_weight_type_must_match_the_family(tmp_path):
+    # a cache whose weight-type byte flipped between 0 and 1 still loads, as
+    # weights reread in the other type; a run over it must refuse it
+    x = 1000
+    for kind in (sq.SumTwoSquares(), sq.PrimesLambda()):
+        path = tmp_path / f"{kind.label()}.bin"
+        sq.save_window(sq.sieve(kind, 1, x), str(path))
+        data = bytearray(path.read_bytes())
+        flag = 12 + len(kind.label()) + 24
+        data[flag] ^= 1
+        path.write_bytes(bytes(data))
+        win = sq.load_window(str(path))
+        assert (win.weights.dtype == np.int64) != kind.integer_weights
+        cfg = h.ExperimentConfig(kind=kind, a=1, x=x, M=10.0)
+        with pytest.raises(ConfigurationError, match="weights"):
+            h.empirical_average(cfg, window=win)
+        with pytest.raises(ConfigurationError, match="weights"):
+            h.divisor_switch_check(kind, 3, x, 20.0, window=win)
+
+
 def test_s5_degenerate_and_monotone_tail():
     model = mf.primes_model()
     s = h.s5_sums(model, 1, 64.0, 64.0, 10**6)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from disclab.errors import ConfigurationError, DomainError
+from disclab.errors import ConfigurationError, DomainError, OutOfRangeError
 from disclab import ktuples as kt
 from disclab.factorint import iter_primes
 
@@ -152,3 +152,17 @@ def test_gamma_H():
     assert kt.gamma_H(kt.TWIN, 2) == Fraction(1, 2)
     assert kt.gamma_H(kt.TWIN, 1) == 1
     assert kt.gamma_H(TRIPLE, 5) == Fraction(2, 5)
+
+
+def test_moduli_below_one_are_refused():
+    from disclab import quadform as qf
+
+    form = qf.BinaryQuadraticForm(1, 0, 1)
+    for call in (
+        lambda: qf.Ra_closed(form, 1, 0),
+        lambda: qf.ramanujan_closed(0, 1),
+        lambda: kt.gamma_H(kt.TWIN, 0),
+        lambda: kt.gamma_H(kt.TWIN, -6),
+    ):
+        with pytest.raises(OutOfRangeError):
+            call()

@@ -6,14 +6,9 @@ import pytest
 from disclab.errors import ModelError
 from disclab import multfn as mf
 from disclab import quadform as qf
-from disclab.factorint import build_tables, divisors, factor, phi
+from disclab.factorint import as_factored, divisors, phi
 
 X2Y2 = qf.BinaryQuadraticForm(1, 0, 1)
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return build_tables(10**4)
 
 
 @pytest.fixture(scope="module")
@@ -137,29 +132,27 @@ def test_f_a_is_one_on_coprime_good_classes(models):
                 assert mf.f_a(m, a, q) == 1, (name, a, q)
 
 
-def test_f_a_equals_g_q_gamma(models, tables):
+def test_f_a_equals_g_q_gamma(models):
     for name, m in models.items():
         for q in range(1, 120):
             for a in [1, 5, 9, -7]:
                 if name == "quadform" and math.gcd(a, 8) != 1:
                     continue
-                qfi = factor(q, tables)
+                qfi = as_factored(q)
                 assert mf.f_a(m, a, qfi) == mf.g_a(m, a, qfi) * q * mf.gamma_q(m, qfi)
 
 
-def normalization_sum(model, q, tables):
-    return sum(
-        phi(factor(q // d, tables)) * mf.g_a(model, d, factor(q, tables)) for d in divisors(q)
-    )
+def normalization_sum(model, q):
+    return sum(phi(q // d) * mf.g_a(model, d, as_factored(q)) for d in divisors(q))
 
 
-def test_normalization_identity_small(models, tables):
+def test_normalization_identity_small(models):
     """sum over d | q of phi(q/d) g_d(q) = 1 for q coprime to the bad primes."""
     for name, m in models.items():
         for q in range(1, 500):
             if any(q % p == 0 for p in m.bad_primes):
                 continue
-            assert normalization_sum(m, q, tables) == 1, (name, q)
+            assert normalization_sum(m, q) == 1, (name, q)
 
 
 def test_two_squares_full_partition_at_2():

@@ -131,7 +131,7 @@ def test_ramanujan_closed_vs_direct():
 
 
 def test_ramanujan_at_zero_is_phi():
-    from disclab.factorint import factor_general, phi
+    from disclab.factorint import phi
 
     for q in range(1, 60):
-        assert qf.ramanujan_closed(q, 0) == phi(factor_general(q))
+        assert qf.ramanujan_closed(q, 0) == phi(q)

@@ -193,8 +193,12 @@ def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     sq.save_window(sq.sieve(sq.SumTwoSquares(), 1, 1000), str(path))
     data = path.read_bytes()
-    # not a cache, two headers cut short, a record missing, 16 bytes too many
-    for bad in (b"not a cache at all", data[:5], data[:20], data[:-8], data + bytes(16)):
+    flag = 12 + len("two_squares") + 24  # the weight-type byte: 0 int64, 1 float64
+    assert data[flag] == 0
+    # not a cache, two headers cut short, a record missing, 16 bytes too many,
+    # a weight-type byte that is neither 0 nor 1
+    for bad in (b"not a cache at all", data[:5], data[:20], data[:-8], data + bytes(16),
+                data[:flag] + b"\x02" + data[flag + 1 :], data[:flag] + b"\xff" + data[flag + 1 :]):
         path.write_bytes(bad)
         with pytest.raises(DomainError):
             sq.load_window(str(path))
