@@ -1,12 +1,12 @@
-"""Empirical discrepancy runs and the exact identities behind them.
+"""Empirical discrepancy runs.
 
-Three workhorses: empirical_average sums A(x;q,a) minus its model term over a
+Two workhorses: empirical_average sums A(x;q,a) minus its model term over a
 q-range and normalizes per family; s5_sums evaluates the smoothed/sharp sum
 combination S5, for which S5*M tends to the predicted bias mu in ratio as M
 grows (the difference does not vanish: for primes at a = +-1,
 M*S5 - mu_leading tends to -C5, and bias.predict_s5 gives the full expected
-value); divisor_switch_check verifies the exact count-swapping identity used
-to control large moduli.
+value).  Large moduli are summed by their cofactor, the divisor switch;
+verify.divisor_switch_check holds those slices to the exact identity.
 Everything reduces floats in a fixed order so repeated runs are bit-identical,
 at every thread count: empirical_average hands each thread a contiguous
 q-range of sums formed in a fixed order, and s5_sums sums its tail in fixed
@@ -297,6 +297,8 @@ def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np
     once, for a > 0): each r adds one strided slice into a per-q accumulator,
     so about 2 sqrt(x) numpy calls replace one per modulus.  Each sum is
     formed in a fixed order, r ascending, so it does not depend on [lo, hi].
+    The slices come from _cofactor_slices, which verify.divisor_switch_check
+    holds to a per-modulus gather of the same terms.
     """
     x = len(w) - 1
     q0 = max(math.isqrt(x), abs(a))
@@ -308,12 +310,20 @@ def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np
     acc = np.zeros(hi - big_lo + 1, dtype=w.dtype)
     if a > 0:
         acc += w[a]
-    r = 1
-    while a + r * big_lo <= x:
-        top = min(hi, (x - a) // r)
-        acc[: top - big_lo + 1] += w[a + r * big_lo : a + r * top + 1 : r]
-        r += 1
+    for s in _cofactor_slices(w, a, big_lo, hi):
+        acc[: len(s)] += s
     return np.concatenate([sums, acc[keep[big_lo - lo :]]])
+
+
+def _cofactor_slices(w: np.ndarray, a: int, lo: int, hi: int):
+    """For r = 1, 2, ...: the terms w[a + r*q] over lo <= q <= hi with
+    a + r*q <= x = len(w) - 1, in q-order, as one strided view per r."""
+    x = len(w) - 1
+    r = 1
+    while a + r * lo <= x:
+        top = min(hi, (x - a) // r)
+        yield w[a + r * lo : a + r * top + 1 : r]
+        r += 1
 
 
 def _dense_window(
@@ -331,11 +341,7 @@ def _dense_window(
             f"window {window.kind_label} [{window.lo}, {window.hi}] does not "
             f"cover [1, {x}] for {kind.label()}"
         )
-    if (window.weights.dtype == np.int64) != kind.integer_weights:
-        raise ConfigurationError(
-            f"window {window.kind_label} has {window.weights.dtype} weights; "
-            f"{kind.label()} needs {'int64' if kind.integer_weights else 'float64'}"
-        )
+    sq.check_weight_type(kind, window)
     return window
 
 
@@ -447,53 +453,6 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
             parts = list(pool.map(block_sum, blocks))
     S_tail = math.fsum(parts)
     return S5Sums(S_R, S_M, S_tail, S_R - S_M - S_tail)
-
-
-# ----------------------------------------------------------------------------
-# exact identity checks
-
-
-def divisor_switch_check(
-    kind: sq.Family, a: int, x: int, M: float, window: sq.SievedWindow | None = None
-) -> tuple[float, float, bool]:
-    """Both sides of the large-modulus count swap n = a + qr.
-
-    Direct side sums A*(x;q,a) over x/M < q <= x; switched side regroups the
-    same terms by the cofactor r.  Weighted families compare fsum against
-    fsum of the identical multiset, so equality is still exact.
-    """
-    if a <= 0:
-        raise DomainError(f"the identity is stated for a > 0, got a={a}")
-    if M <= 0:
-        raise DomainError(f"M must be positive, got M={M}")
-    w = sq.dense_weights(_dense_window(kind, x, window), x)
-    G = int(x / M)
-    integer = np.issubdtype(w.dtype, np.integer)
-
-    def side(slices) -> tuple[float, int]:
-        if integer:
-            total = 0
-            for s in slices:
-                total += int(s.sum())
-            return float(total), total
-        arrs = [s for s in slices if len(s)]
-        if not arrs:
-            return 0.0, 0
-        cat = np.concatenate(arrs)
-        return math.fsum(cat.tolist()), 0
-
-    direct_slices = (w[a + q :: q] for q in range(G + 1, x + 1) if a + q <= x)
-
-    def switched_slices():
-        r = 1
-        while a + r * (G + 1) <= x:
-            yield w[a + r * (G + 1) :: r]
-            r += 1
-
-    direct, di = side(direct_slices)
-    switched, si = side(switched_slices())
-    equal = (di == si) if integer else (direct == switched)
-    return direct, switched, equal
 
 
 # ----------------------------------------------------------------------------

@@ -475,6 +475,16 @@ def dense_weights(window: SievedWindow, size: int | None = None) -> np.ndarray:
     return out
 
 
+def check_weight_type(kind: Family, window: SievedWindow) -> None:
+    """Refuse a window whose weight dtype is not kind's: a cache whose
+    weight-type byte flipped between 0 and 1 loads, read in the other type."""
+    if (window.weights.dtype == np.int64) != kind.integer_weights:
+        raise ConfigurationError(
+            f"window {window.kind_label} has {window.weights.dtype} weights; "
+            f"{kind.label()} needs {'int64' if kind.integer_weights else 'float64'}"
+        )
+
+
 def check_Ad_identity(
     kind: Family, x: int, d: int, window: SievedWindow | None = None
 ) -> tuple[bool, int, int]:
@@ -492,6 +502,7 @@ def check_Ad_identity(
         window = sieve(kind, 1, x)
     elif window.kind_label != kind.label() or window.lo != 1 or window.hi != x:
         raise ConfigurationError("window must cover exactly [1, x] for this family")
+    check_weight_type(kind, window)
     lhs = count_Ad(window, d)
     rhs = count_A_upto(window, scale * x) if scale else 0
     return lhs == rhs, lhs, rhs

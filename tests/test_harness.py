@@ -14,6 +14,7 @@ from disclab import harness as h
 from disclab import ktuples as kt
 from disclab import multfn as mf
 from disclab import sequences as sq
+from disclab import verify as vf
 from disclab.errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from disclab.factorint import iter_primes, phi
 from disclab.quadform import BinaryQuadraticForm
@@ -292,7 +293,7 @@ def test_resource_guard(monkeypatch):
     with pytest.raises(ResourceError):
         h.empirical_average(h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=x, M=10.0))
     with pytest.raises(ResourceError):
-        h.divisor_switch_check(sq.PrimesLambda(), 3, x, 20.0)
+        vf.divisor_switch_check(sq.PrimesLambda(), 3, x, 20.0)
 
 
 def test_window_must_cover_the_run():
@@ -307,12 +308,13 @@ def test_window_must_cover_the_run():
         with pytest.raises(ConfigurationError):
             h.empirical_average(cfg, window=win)
         with pytest.raises(ConfigurationError):
-            h.divisor_switch_check(kind, 3, x, 20.0, window=win)
+            vf.divisor_switch_check(kind, 3, x, 20.0, window=win)
 
 
 def test_window_weight_type_must_match_the_family(tmp_path):
     # a cache whose weight-type byte flipped between 0 and 1 still loads, as
-    # weights reread in the other type; a run over it must refuse it
+    # weights reread in the other type; a run or an identity over it must
+    # refuse it
     x = 1000
     for kind in (sq.SumTwoSquares(), sq.PrimesLambda()):
         path = tmp_path / f"{kind.label()}.bin"
@@ -327,7 +329,10 @@ def test_window_weight_type_must_match_the_family(tmp_path):
         with pytest.raises(ConfigurationError, match="weights"):
             h.empirical_average(cfg, window=win)
         with pytest.raises(ConfigurationError, match="weights"):
-            h.divisor_switch_check(kind, 3, x, 20.0, window=win)
+            vf.divisor_switch_check(kind, 3, x, 20.0, window=win)
+        if kind.indicator:
+            with pytest.raises(ConfigurationError, match="weights"):
+                sq.check_Ad_identity(kind, x, 3, window=win)
 
 
 def test_s5_degenerate_and_monotone_tail():
@@ -434,14 +439,49 @@ def test_s5_range_validation():
 
 
 def test_divisor_switch_exact():
-    d, s, eq = h.divisor_switch_check(sq.PrimesLambda(), 3, 10**4, 20.0)
-    assert eq and d == s
-    d, s, eq = h.divisor_switch_check(sq.SumTwoSquares(), 5, 10**5, 50.0)
+    kinds = (
+        sq.PrimesLambda(),
+        sq.SumTwoSquares(),
+        sq.Rough(7),
+        sq.KTupleWeight(kt.TWIN),
+        sq.QuadFormMult(BinaryQuadraticForm(1, 0, 1)),
+    )
+    for kind, x in itertools.product(kinds, (10, 997, 10**4)):
+        win = sq.sieve(kind, 1, x)
+        w = sq.dense_weights(win, x)
+        G = int(x / 20.0)
+        # a = x - G - 1 leaves one term, n = x; a = x - G none at all
+        cases = [(a, 20.0) for a in (1, 3, 5, x - G - 1, x - G, x, x + 3)]
+        for a, M in cases + [(3, 3.0), (3, 0.5)]:
+            # the oracle: one strided slice per modulus q > x/M
+            slices = [w[a + q :: q] for q in range(int(x / M) + 1, x + 1)]
+            want = math.fsum(np.concatenate([w[:0]] + slices).tolist())
+            d, s, eq = vf.divisor_switch_check(kind, a, x, M, window=win)
+            assert eq and d == s == want, (kind, x, a, M)
+    d, s, eq = vf.divisor_switch_check(sq.SumTwoSquares(), 5, 10**5, 50.0)
     assert eq and d == s and d == int(d)
-    d, s, eq = h.divisor_switch_check(sq.PrimesLambda(), 3, 10**4, 0.5)
-    assert eq and d == 0.0 and s == 0.0
     with pytest.raises(DomainError):
-        h.divisor_switch_check(sq.PrimesLambda(), -3, 10**4, 20.0)
+        vf.divisor_switch_check(sq.PrimesLambda(), -3, 10**4, 20.0)
+
+
+def test_divisor_switch_checks_the_production_slices(monkeypatch):
+    # the switched side is harness's own cofactor slices: lose one or count
+    # one twice there and the check must see it
+    real = h._cofactor_slices
+
+    def dropped(*args):
+        slices = list(real(*args))
+        return slices[:1] + slices[2:]
+
+    def repeated(*args):
+        slices = list(real(*args))
+        return slices + slices[1:2]
+
+    for fake in (dropped, repeated):
+        monkeypatch.setattr(h, "_cofactor_slices", fake)
+        for kind in (sq.SumTwoSquares(), sq.PrimesLambda()):
+            d, s, eq = vf.divisor_switch_check(kind, 3, 10**4, 20.0)
+            assert not eq and d != s, (fake.__name__, kind)
 
 
 def test_export_csv_deterministic(tmp_path):
