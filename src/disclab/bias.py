@@ -70,8 +70,8 @@ def _require_generic(model: SequenceModel, a, M: float, P_trunc: int):
             f"model {model.label} has bad primes {sorted(model.bad_primes)}; "
             "use its family's predict"
         )
-    if M <= 1:
-        raise DomainError(f"M must be > 1, got {M}")
+    if not (math.isfinite(M) and M > 1):
+        raise DomainError(f"M must be finite and > 1, got {M}")
     if P_trunc < 10**3:
         raise ConfigurationError(f"P_trunc={P_trunc} too small")
     if a == 0:
@@ -258,8 +258,8 @@ def predict_example(
     stated in the family's own normalization."""
     if a == 0:
         raise DomainError("a must be nonzero")
-    if M <= 1:
-        raise DomainError(f"M must be > 1, got {M}")
+    if not (math.isfinite(M) and M > 1):
+        raise DomainError(f"M must be finite and > 1, got {M}")
     return sq.family_named(family, form=form, tuple=tuple, y=y).predict(a, M, x)
 
 

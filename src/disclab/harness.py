@@ -60,8 +60,8 @@ class ExperimentConfig:
             raise DomainError("a must be nonzero")
         if self.x < 1:
             raise DomainError(f"x must be >= 1, got {self.x}")
-        if not self.M > 1:
-            raise DomainError(f"M must be > 1, got {self.M}")
+        if not (math.isfinite(self.M) and self.M > 1):
+            raise DomainError(f"M must be finite and > 1, got {self.M}")
         if self.mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.coprime_filter not in _FILTERS:
@@ -119,19 +119,24 @@ def _check_window(lo: int, hi: int) -> None:
         raise DomainError(f"bad range [{lo}, {hi}]")
     if hi - lo + 1 > _BLOCK + 1:
         raise ResourceError(f"window [{lo}, {hi}] too wide; use blocks")
+    if hi >= 2**53:
+        raise ResourceError(f"window [{lo}, {hi}] reaches 2^53, past exact float cofactors")
 
 
 def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarray:
     """Product of local factors of each q in [lo, hi], one float per q.
 
     Every prime power p^e <= hi with p <= sqrt(hi), or p in extra, strides
-    its multiples with ratio(p, e), the factor p^e adds over p^(e-1).  What
-    is left of q is 1 or one prime P above sqrt(hi), which multiplies in
-    leftover(P).
+    its multiples with ratio(p, e), the factor p^e adds over p^(e-1), and
+    multiplies p into D, the strided part of q.  What is left of q, the
+    float P = q / D (exact below 2^53, as D divides q), is 1 or one prime
+    above sqrt(hi).  leftover(P, out) writes its factor for every P into
+    out, the spent D, and may overwrite P; the entries at P = 1 are reset
+    to 1 and the rest multiply in.
     """
     n = hi - lo + 1
     G = np.ones(n, dtype=np.float64)
-    C = np.arange(lo, hi + 1, dtype=np.int64)
+    D = np.ones(n, dtype=np.float64)
     root = math.isqrt(hi)
     above = (p for p in sorted(extra) if root < p <= hi)
     for p in itertools.chain(iter_primes(root), above):
@@ -141,12 +146,16 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
             if start > hi:
                 break
             G[start - lo :: pe] *= ratio(p, e)
-            C[start - lo :: pe] //= p
+            D[start - lo :: pe] *= p
             e += 1
             pe *= p
-    mask = C > 1
-    if mask.any():
-        G[mask] *= leftover(C[mask])
+    P = np.arange(lo, hi + 1, dtype=np.float64)
+    P /= D
+    one = P == 1
+    with np.errstate(divide="ignore", invalid="ignore"):  # P = 1 divides by zero
+        L = leftover(P, D)
+    np.copyto(L, 1.0, where=one)
+    G *= L
     return G
 
 
@@ -184,9 +193,11 @@ class LocalRatios:
                 f"table for a={self.a} on [{self.lo}, {self.hi}] used for a={a} on [{lo}, {hi}]"
             )
 
-        def leftover(P: np.ndarray) -> np.ndarray:
-            Pf = P.astype(np.float64)
-            return (1.0 - self.model.h_prime_vec(P) / Pf) / (Pf - 1.0)
+        def leftover(P: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.divide(self.model.h_prime_vec(P), P, out=out)
+            np.subtract(1.0, out, out=out)
+            P -= 1.0
+            return np.divide(out, P, out=out)
 
         ratios = self.ratios
         return _multiplicative_sieve(lo, hi, lambda p, e: ratios[p][e - 1], self.extra, leftover)
@@ -217,7 +228,7 @@ def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
         hi,
         lambda p, e: 1.0 / (p - nu_H(H, p)) if e == 1 else 1.0 / p,
         deviating_primes(H),
-        lambda P: 1.0 / (P.astype(np.float64) - H.k),
+        lambda P, out: np.divide(1.0, np.subtract(P, H.k, out=out), out=out),
     )
 
 

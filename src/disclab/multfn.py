@@ -28,13 +28,13 @@ class SequenceModel:
     """One density model, everything needed to evaluate g_a everywhere.
 
     h(p, e) gives h on prime powers, e >= 1 (h(1) = 1 by convention); k is
-    its mean value; h_prime_vec(P) gives h(p) as floats on an int64 array of
-    good primes, none dividing a, for the bulk sieves.  At each of the
-    bad_primes, g_a(p^e) is g_bad(p, e, a) with the signed a, and gamma(p)
-    is 1.  tail_primes, when known, is the finite set of primes p at which
-    the Euler factor (1 - h(p)/p) / (1 - 1/p)^k differs from 1;
-    bias.mu_k walks only these.  None means the factor may differ from 1
-    anywhere.
+    its mean value; h_prime_vec(P) gives h(p) as floats on a float64 array
+    of good primes, none dividing a, for the bulk sieves; P may also hold
+    1, whose values are dropped.  At each of the bad_primes, g_a(p^e) is
+    g_bad(p, e, a) with the signed a, and gamma(p) is 1.  tail_primes, when
+    known, is the finite set of primes p at which the Euler factor
+    (1 - h(p)/p) / (1 - 1/p)^k differs from 1; bias.mu_k walks only these.
+    None means the factor may differ from 1 anywhere.
     """
 
     label: str
@@ -182,7 +182,7 @@ def two_squares_model() -> SequenceModel:
         "two_squares",
         h,
         Fraction(1, 2),
-        lambda P: np.where(P % 4 == 1, 1.0, 1.0 / P),
+        lambda P: np.where(P.astype(np.int64) % 4 == 1, 1.0, 1.0 / P),  # float % is slow
         bad_primes=frozenset({2}),
         g_bad=_two_squares_g2,
     )
@@ -230,9 +230,8 @@ def quadform_model(form: qf.BinaryQuadraticForm) -> SequenceModel:
     chi_table = np.array([qf.kronecker(4 * d, r) for r in range(period)], dtype=np.int64)
 
     def h_vec(P):
-        chi = chi_table[P % period]
-        Pf = P.astype(np.float64)
-        return np.where(chi == 1, 2.0 - 1.0 / Pf, 1.0 / Pf)
+        chi = chi_table[P.astype(np.int64) % period]
+        return np.where(chi == 1, 2.0 - 1.0 / P, 1.0 / P)
 
     return SequenceModel(
         f"quadform_{form.label()}", h, Fraction(1), h_vec, bad_primes=bad, g_bad=g_bad

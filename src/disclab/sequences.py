@@ -42,8 +42,8 @@ class Family:
     A family defines window(lo, hi), its support and weights over a window
     sieve() has checked, and predict(a, M, x=None, A_x=None), its worked
     closed form as a bias.BiasPrediction in its own normalization (a != 0
-    and M > 1 checked by the caller; A_x, the exact count A(x) where the
-    caller holds its window, spares a form that needs it a sieve).  Its
+    and finite M > 1 checked by the caller; A_x, the exact count A(x) where
+    the caller holds its window, spares a form that needs it a sieve).  Its
     dataclass field, if any, is its parameter; the field's name is also its
     command-line flag (read by parse) and its keyword in family_named.
     Class attributes declare the rest: integer_weights; indicator (0/1

@@ -216,8 +216,8 @@ def divisor_switch_check(
     """
     if a <= 0:
         raise DomainError(f"the identity is stated for a > 0, got a={a}")
-    if M <= 0:
-        raise DomainError(f"M must be positive, got M={M}")
+    if not (math.isfinite(M) and M > 0):
+        raise DomainError(f"M must be finite and positive, got M={M}")
     w = sq.dense_weights(hn._dense_window(kind, x, window), x)
     G = int(x / M)
     q = np.arange(G + 1, x - a + 1, dtype=np.int64)

@@ -149,8 +149,9 @@ def test_mu_validation():
             mu(mf.two_squares_model(), 1, 100.0)
         with pytest.raises(UnsupportedError):
             mu(mf.quadform_model(X2Y2), 1, 100.0)
-        with pytest.raises(DomainError):
-            mu(PRIMES, 1, 1.0)
+        for M in (1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                mu(PRIMES, 1, M)
         with pytest.raises(ConfigurationError):
             mu(PRIMES, 1, 10.0, P_trunc=10)
         with pytest.raises(DomainError):
@@ -338,7 +339,8 @@ def test_predict_validation():
         bias.predict_example("no-such-family", 1, 100.0)
     with pytest.raises(DomainError):
         bias.predict_example("primes", 0, 100.0)
-    with pytest.raises(DomainError):
-        bias.predict_example("primes", 1, 1.0)
+    for M in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bias.predict_example("primes", 1, M)
     with pytest.raises(DomainError):
         bias.predict_example("rough", 1, 100.0, 1e6)

@@ -75,6 +75,11 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # dyadic route only covers a = 1 mod 4
     code, _ = run(capsys, "predict", "--family", "quadform", "--a", "1", "--M", "10")
     assert code == 2  # the quadform family needs its --form
+    for M in ("nan", "inf"):
+        code, _ = run(capsys, "predict", "--family", "primes", "--a", "1", "--M", M)
+        assert code == 2
+        code, _ = run(capsys, "discrepancy", "--kind", "primes", "--a", "1", "--x", "10000", "--M", M)
+        assert code == 2
     for command in (["predict", "--family", "primes", "--a", "1", "--M", "10"],
                     ["discrepancy", "--kind", "primes", "--a", "1", "--M", "10"],
                     ["s5", "--kind", "primes", "--a", "1", "--M", "10", "--R", "100"],

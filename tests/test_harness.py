@@ -70,11 +70,92 @@ def test_ktuple_term_range_matches_gamma():
             h.ktuple_term_range(kt.KTuple(((1, 0), (1, 1))), lo, hi)
 
 
+def _oracle_sieve(lo, hi, ratio, extra, leftover):
+    """The kernel before float cofactors: an int64 cofactor divided down by
+    every strided prime, and leftover applied to a gather of the q whose
+    cofactor is above 1."""
+    G = np.ones(hi - lo + 1)
+    C = np.arange(lo, hi + 1, dtype=np.int64)
+    root = math.isqrt(hi)
+    for p in itertools.chain(iter_primes(root), (p for p in sorted(extra) if root < p <= hi)):
+        pe, e = p, 1
+        while pe <= hi and (lo + pe - 1) // pe * pe <= hi:
+            start = (lo + pe - 1) // pe * pe
+            G[start - lo :: pe] *= ratio(p, e)
+            C[start - lo :: pe] //= p
+            pe, e = pe * p, e + 1
+    mask = C > 1
+    if mask.any():
+        G[mask] *= leftover(C[mask].astype(np.float64))
+    return G
+
+
+_ORACLE_WINDOWS = [
+    (1, 1),
+    (1, 2),
+    (1, 5000),
+    (2001, 4000),
+    (10001, 10000 + 2**20),
+    (10**9 - 2**20 + 1, 10**9),
+]
+
+
+@pytest.mark.parametrize("lo,hi", _ORACLE_WINDOWS)
+def test_g_range_same_bits_as_integer_cofactor_oracle(lo, hi):
+    models = [
+        mf.primes_model(),
+        mf.two_squares_model(),
+        mf.rough_model(7),
+        mf.rough_model(3),
+        mf.quadform_model(BinaryQuadraticForm(1, 0, 1)),
+        # bad prime 23
+        mf.quadform_model(BinaryQuadraticForm(2, 1, 3)),
+    ]
+    # on the small windows the divisor 1009 of a lies above sqrt(hi)
+    shifts = (1, -3, 3 * 1009) if hi <= 5000 else (1, -3)
+    for model, a in itertools.product(models, shifts):
+        table = h.LocalRatios(model, a, lo, hi)
+        want = _oracle_sieve(
+            lo,
+            hi,
+            lambda p, e: table.ratios[p][e - 1],
+            table.extra,
+            lambda P: (1.0 - model.h_prime_vec(P) / P) / (P - 1.0),
+        )
+        assert h.g_range(model, a, lo, hi).tobytes() == want.tobytes(), (model.label, a)
+
+
+@pytest.mark.parametrize("lo,hi", _ORACLE_WINDOWS)
+def test_ktuple_term_range_same_bits_as_integer_cofactor_oracle(lo, hi):
+    for H in (kt.TWIN, kt.KTuple(((1, 0), (1, 2), (1, 6))), kt.KTuple(((2, 1), (1, 4)))):
+        want = _oracle_sieve(
+            lo,
+            hi,
+            lambda p, e: 1.0 / (p - kt.nu_H(H, p)) if e == 1 else 1.0 / p,
+            kt.deviating_primes(H),
+            lambda P: 1.0 / (P - H.k),
+        )
+        assert h.ktuple_term_range(H, lo, hi).tobytes() == want.tobytes(), H.label()
+
+
+def test_window_refused_at_the_float_cofactor_bound(monkeypatch):
+    # at 2^53 q / D stops being exact; refused before any prime is listed
+    def no_primes(*args):
+        raise AssertionError("sieved past 2^53")
+
+    monkeypatch.setattr(h, "iter_primes", no_primes)
+    with pytest.raises(ResourceError):
+        h.g_range(mf.primes_model(), 1, 2**53, 2**53)
+    with pytest.raises(ResourceError):
+        h.ktuple_term_range(kt.TWIN, 2**53, 2**53)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=0, x=100, M=5.0)
-    with pytest.raises(DomainError):
-        h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=1.0)
+    for M in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=M)
     with pytest.raises(ConfigurationError):
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=5.0, mode="half")
     with pytest.raises(ConfigurationError):
@@ -462,6 +543,9 @@ def test_divisor_switch_exact():
     assert eq and d == s and d == int(d)
     with pytest.raises(DomainError):
         vf.divisor_switch_check(sq.PrimesLambda(), -3, 10**4, 20.0)
+    for M in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            vf.divisor_switch_check(sq.PrimesLambda(), 3, 1000, M)
 
 
 def test_divisor_switch_checks_the_production_slices(monkeypatch):
