@@ -41,6 +41,7 @@ from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
 _BLOCK = 10**7  # widest window of g_range and ktuple_term_range
 _TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
+_TAIL_MAX_BLOCKS = 2**20  # about 1.1e12 moduli: some 7 hours on 2 cores
 
 _FILTERS = ("none", "a", "P")
 _MODES = ("full", "dyadic")
@@ -58,8 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.a == 0:
             raise DomainError("a must be nonzero")
-        if self.x < 1:
-            raise DomainError(f"x must be >= 1, got {self.x}")
+        if not 1 <= self.x < math.inf:
+            raise DomainError(f"x must be finite and >= 1, got {self.x}")
         if not (math.isfinite(self.M) and self.M > 1):
             raise DomainError(f"M must be finite and > 1, got {self.M}")
         if self.mode not in _MODES:
@@ -68,6 +69,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"coprime_filter must be one of {_FILTERS}, got {self.coprime_filter!r}"
             )
+        lo, hi = self.q_range()
+        if hi >= lo:  # a q-range the term kernel cannot take is refused before any sieve
+            _check_window(lo, hi)
 
     def provenance(self) -> dict:
         """config_hash, then the six fields it hashes, in export order."""
@@ -386,9 +390,8 @@ def empirical_average(
     A_xf = float(A_x)
 
     q_lo, q_hi = cfg.q_range()
-    pm = 0.0
-    if 0 < cfg.a <= cfg.x:
-        pm = float(sq.weight_at(cfg.kind, cfg.a))
+    # a(a), read from the array the slice sums add, so the term removed is the one counted
+    pm = float(w[cfg.a]) if 0 < cfg.a <= cfg.x else 0.0
 
     if q_hi < q_lo:
         terms = np.empty(0)
@@ -436,20 +439,26 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     worker per core sums with one LocalRatios table built before they
     start.  The block sums are reduced with fsum in block order, and the
     blocks do not depend on the worker count, so S_tail has the same bits
-    on every machine.
+    on every machine.  A tail that reaches 2^53 or needs more than
+    _TAIL_MAX_BLOCKS blocks is refused before any table or block list.
     """
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
     if R**2 > x:
         raise DomainError(f"R={R} above sqrt(x) at x={x}")
+    lo = int(x / R) + 1
+    hi = int(x / M)
+    if hi >= lo and (hi >= 2**53 or hi - lo >= _TAIL_MAX_BLOCKS * _TAIL_BLOCK):
+        raise ResourceError(
+            f"s5 tail [{lo}, {hi}] reaches 2^53 or needs more than "
+            f"{_TAIL_MAX_BLOCKS} blocks of {_TAIL_BLOCK} moduli"
+        )
     Rn, Mn = int(R), int(M)
     GR = g_range(model, a, 1, Rn)
     S_R = math.fsum(g * (1.0 - r / R) for r, g in enumerate(GR.tolist(), start=1))
     S_M = math.fsum(
         g * (1.0 - r / M) for r, g in enumerate(GR[:Mn].tolist(), start=1)
     )
-    lo = int(x / R) + 1
-    hi = int(x / M)
     blocks = [(b, min(b + _TAIL_BLOCK - 1, hi)) for b in range(lo, hi + 1, _TAIL_BLOCK)]
     parts = []
     if blocks:

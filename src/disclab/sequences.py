@@ -4,7 +4,8 @@ Five weighted sequences share one interface (Family, registered by name in
 FAMILIES): prime powers with log weights, values of a positive definite
 quadratic form, the sum-of-two-squares indicator, products of log-prime
 weights over a linear-form tuple, and integers free of small prime factors.
-Each carries its worked closed-form prediction (Family.predict).
+Each is its window, its density model and its worked closed-form prediction
+(Family.predict); its weights have no description outside the window.
 A sieve materializes one window [lo, hi] as sparse (support, weight) arrays;
 counting helpers sum them over divisibility or residue conditions.
 """
@@ -40,7 +41,9 @@ class Family:
     """One weighted sequence, described once.
 
     A family defines window(lo, hi), its support and weights over a window
-    sieve() has checked, and predict(a, M, x=None, A_x=None), its worked
+    sieve() has checked, and the one description of a(n): a run reads a
+    single weight from the dense array it sums.  model() is its
+    multiplicative density, and predict(a, M, x=None, A_x=None) its worked
     closed form as a bias.BiasPrediction in its own normalization (a != 0
     and finite M > 1 checked by the caller; A_x, the exact count A(x) where
     the caller holds its window, spares a form that needs it a sieve).  Its
@@ -65,10 +68,6 @@ class Family:
     def label(self) -> str:
         return self.name
 
-    def weight(self, n: int) -> float | int:
-        """a(n) for n >= 1; an indicator family's is 1 exactly where h(n) = 1."""
-        return int(self.model().h_of(n) == 1)
-
     def model(self) -> Optional[mf.SequenceModel]:
         """The multiplicative density model, or None (tuples)."""
         return None
@@ -87,10 +86,6 @@ class PrimesLambda(Family):
 
     def window(self, lo, hi):
         return _lambda_window(lo, hi)
-
-    def weight(self, n):
-        fac = as_factored(n).factors
-        return math.log(fac[0][0]) if len(fac) == 1 else 0.0
 
     def model(self):
         return mf.primes_model()
@@ -124,10 +119,6 @@ class QuadFormMult(Family):
         counts = _form_counts(self.form, lo, hi)
         idx = np.nonzero(counts)[0]
         return idx + lo, counts[idx]
-
-    def weight(self, n):
-        w = sieve(self, n, n).weights
-        return int(w[0]) if len(w) else 0
 
     def model(self):
         return mf.quadform_model(self.form)
@@ -218,14 +209,6 @@ class KTupleWeight(Family):
             if len(common) == 0:
                 break
         return common.astype(np.int64), weights
-
-    def weight(self, n):
-        out = 1.0
-        for a, b in self.tuple.forms:
-            out *= weight_at(PrimesLambda(), a * n + b)
-            if out == 0.0:
-                return 0.0
-        return out
 
     def P(self, a):
         return P_of(a, self.tuple)
@@ -431,13 +414,6 @@ def sieve(kind: Family, lo: int, hi: int) -> SievedWindow:
     _check_window(lo, hi)
     support, weights = kind.window(lo, hi)
     return SievedWindow(kind.label(), lo, hi, support, weights)
-
-
-def weight_at(kind: Family, n: int) -> float | int:
-    """Exact single weight a(n); zero for n <= 0 by convention."""
-    if n <= 0:
-        return 0 if kind.integer_weights else 0.0
-    return kind.weight(n)
 
 
 def _reduce(values) -> float | int:

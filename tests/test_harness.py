@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from disclab import bias
+from disclab import bias, cli
 from disclab import harness as h
 from disclab import ktuples as kt
 from disclab import multfn as mf
@@ -150,12 +150,55 @@ def test_window_refused_at_the_float_cofactor_bound(monkeypatch):
         h.ktuple_term_range(kt.TWIN, 2**53, 2**53)
 
 
+def test_run_removes_the_term_it_counted():
+    # 285343 is prime, and np.log and math.log round its log apart: the
+    # point mass is the dense array's w[a], the very term the slice sums add.
+    # Twin weighs a at 0 (5 divides a + 2), so its case has nothing to round.
+    a, x, M = 285343, 3 * 10**5, 20.0
+    cases = [
+        (sq.PrimesLambda(), "none"),
+        (sq.PrimesLambda(), "a"),
+        (sq.KTupleWeight(kt.TWIN), "P"),
+    ]
+    for kind, filt in cases:
+        cfg = h.ExperimentConfig(kind=kind, a=a, x=x, M=M, coprime_filter=filt)
+        win = sq.sieve(kind, 1, x)
+        w = sq.dense_weights(win, size=x)
+        lo, hi = cfg.q_range()
+        keep = h._filter_mask(cfg, lo, hi)
+        sums = h._slice_sums(w, a, lo, hi, keep).astype(np.float64)
+        G = h._term_array(cfg, lo, hi)[keep]
+        terms = sums - w[a] - G * float(sq.count_A_upto(win, x))
+        report = h.empirical_average(cfg, window=win)
+        assert report.empirical_sum == math.fsum(terms.tolist()), (kind, filt)
+
+
+def test_config_refuses_a_q_range_the_kernel_cannot_take(monkeypatch, capsys):
+    # x/M = 13333333 moduli, past the term kernel's widest window: refused
+    # when the config is built, before any sieve
+    def no_sieve(*args):
+        raise AssertionError("sieved before the q-range was checked")
+
+    monkeypatch.setattr(sq, "sieve", no_sieve)
+    with pytest.raises(ResourceError):
+        h.ExperimentConfig(kind=sq.Rough(7), a=1, x=2 * 10**7, M=1.5)
+    argv = ["discrepancy", "--kind", "rough", "--y", "7", "--a", "1",
+            "--x", "20000000", "--M", "1.5"]
+    assert cli.main(argv) == 3
+    assert "too wide" in capsys.readouterr().err
+    # an empty q-range still runs
+    h.ExperimentConfig(kind=sq.Rough(7), a=1, x=1, M=1.5)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=0, x=100, M=5.0)
     for M in (1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=M)
+    for x in (0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=x, M=5.0)
     with pytest.raises(ConfigurationError):
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=5.0, mode="half")
     with pytest.raises(ConfigurationError):
@@ -296,7 +339,7 @@ def test_divisor_switched_sums_match_per_q_loop():
                 with pytest.raises(DomainError):
                     h.empirical_average(cfg, window=win)
                 continue
-            pm = float(sq.weight_at(kind, a)) if 0 < a <= x else 0.0
+            pm = float(w[a]) if 0 < a <= x else 0.0
             terms = [float(s) - pm - g * A_x for s, g in zip(want.tolist(), G.tolist())]
             reps = [h.empirical_average(cfg, window=win, threads=t) for t in (1, 2, 4)]
             assert len({repr(dataclasses.replace(r, runtime_ms=0)) for r in reps}) == 1
@@ -517,6 +560,30 @@ def test_s5_range_validation():
         h.s5_sums(model, 1, 100.0, 50.0, 10**6)
     with pytest.raises(DomainError):
         h.s5_sums(model, 1, 10.0, 2000.0, 10**6)
+
+
+def test_s5_refuses_a_tail_past_its_bounds(monkeypatch, capsys):
+    # at x = 1e17 the tail reaches 2^53; at x = 1e14 it needs about 9.5e6
+    # blocks, past 2^20.  Both are refused before any table or block list.
+    # The block bound is inclusive: 90000 moduli are 88 blocks of 2^10.
+    monkeypatch.setattr(h, "_TAIL_BLOCK", 2**10)
+    monkeypatch.setattr(h, "_TAIL_MAX_BLOCKS", 88)
+    h.s5_sums(mf.primes_model(), 1, 10.0, 100.0, 10**6)
+    monkeypatch.setattr(h, "_TAIL_MAX_BLOCKS", 87)
+    with pytest.raises(ResourceError):
+        h.s5_sums(mf.primes_model(), 1, 10.0, 100.0, 10**6)
+    monkeypatch.undo()
+
+    def no_primes(*args):
+        raise AssertionError("built a table before the tail was checked")
+
+    monkeypatch.setattr(h, "iter_primes", no_primes)
+    for x in (10**17, 10**14):
+        with pytest.raises(ResourceError):
+            h.s5_sums(mf.primes_model(), 1, 10.0, 1e4, x)
+        argv = ["s5", "--kind", "primes", "--a", "1", "--M", "10", "--R", "1e4", "--x", str(x)]
+        assert cli.main(argv) == 3
+        assert "s5 tail" in capsys.readouterr().err
 
 
 def test_divisor_switch_exact():

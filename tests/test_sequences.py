@@ -5,6 +5,7 @@ import pytest
 
 from disclab.errors import DomainError, ResourceError, UnsupportedError
 from disclab import sequences as sq
+from disclab.factorint import factors_of
 from disclab.ktuples import TWIN, KTuple
 from disclab.quadform import BinaryQuadraticForm
 
@@ -22,6 +23,12 @@ def brute_two_squares(n: int) -> bool:
     return False
 
 
+def von_mangoldt(n: int) -> float:
+    """Lambda(n) for n >= 1 from the factorization of n."""
+    fac = factors_of(n) if n > 1 else ()
+    return math.log(fac[0][0]) if len(fac) == 1 else 0.0
+
+
 def test_lambda_window_small():
     w = sq.sieve(sq.PrimesLambda(), 1, 10)
     assert list(w.support) == [2, 3, 4, 5, 7, 8, 9]
@@ -30,11 +37,11 @@ def test_lambda_window_small():
     assert abs(sq.count_A(w) - 7.83201) < 1e-4
 
 
-def test_lambda_window_matches_weight_at():
+def test_lambda_window_matches_von_mangoldt():
     w = sq.sieve(sq.PrimesLambda(), 500, 1500)
     dense = sq.dense_weights(w, 1500)
     for n in range(500, 1501):
-        assert dense[n] == pytest.approx(sq.weight_at(sq.PrimesLambda(), n), abs=1e-12)
+        assert dense[n] == pytest.approx(von_mangoldt(n), abs=1e-12)
 
 
 def test_quadform_weights():
@@ -65,19 +72,10 @@ def test_two_squares_window():
         assert bool(dense[n]) == brute_two_squares(n), n
 
 
-def test_two_squares_weight_at_agrees():
-    kind = sq.SumTwoSquares()
-    for n in range(1, 500):
-        assert sq.weight_at(kind, n) == (1 if brute_two_squares(n) else 0), n
-
-
 def test_rough_window():
     w = sq.sieve(sq.Rough(5), 1, 30)
     assert list(w.support) == [1, 5, 7, 11, 13, 17, 19, 23, 25, 29]
     assert sq.count_A(w) == 10
-    assert sq.weight_at(sq.Rough(5), 1) == 1
-    assert sq.weight_at(sq.Rough(5), 10) == 0
-    assert sq.weight_at(sq.Rough(5), 25) == 1
 
 
 def test_ktuple_window():
@@ -85,9 +83,8 @@ def test_ktuple_window():
     w = sq.sieve(kind, 1, 50)
     dense = sq.dense_weights(w)
     for n in range(1, 51):
-        lam = sq.weight_at(sq.PrimesLambda(), n)
-        lam2 = sq.weight_at(sq.PrimesLambda(), n + 2)
-        assert dense[n] == pytest.approx(lam * lam2, abs=1e-12), n
+        expected = von_mangoldt(n) * von_mangoldt(n + 2)
+        assert dense[n] == pytest.approx(expected, abs=1e-12), n
     # twin pairs give the bulk of the support
     assert dense[3] == pytest.approx(math.log(3) * math.log(5))
     assert dense[6] == 0
@@ -98,9 +95,7 @@ def test_ktuple_with_coefficients():
     w = sq.sieve(sq.KTupleWeight(h), 1, 200)
     dense = sq.dense_weights(w)
     for n in range(1, 201):
-        expected = sq.weight_at(sq.PrimesLambda(), 2 * n + 1) * sq.weight_at(
-            sq.PrimesLambda(), 4 * n + 1
-        )
+        expected = von_mangoldt(2 * n + 1) * von_mangoldt(4 * n + 1)
         assert dense[n] == pytest.approx(expected, abs=1e-12), n
 
 
@@ -202,9 +197,3 @@ def test_cache_rejects_garbage(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(DomainError):
             sq.load_window(str(path))
-
-
-def test_negative_weight_convention():
-    for kind in [sq.PrimesLambda(), sq.SumTwoSquares(), sq.Rough(5)]:
-        assert sq.weight_at(kind, -7) == 0
-        assert sq.weight_at(kind, 0) == 0
