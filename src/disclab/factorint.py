@@ -1,4 +1,5 @@
-"""Integer factorization, multiplicative basics, and the Kronecker symbol.
+"""Integer factorization, the boolean prime-window sieve, multiplicative
+basics, and the Kronecker symbol.
 
 Factorizations are carried around as tuples of (prime, exponent) pairs so the
 layers above can evaluate multiplicative functions without re-factoring.
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -53,16 +53,26 @@ def spf_window(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def iter_primes(limit: int) -> Iterable[int]:
-    """Primes up to limit via a plain boolean sieve."""
-    if limit < 2:
-        return []
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+def prime_window(lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi], lo >= 2, ascending as int64 (empty if hi < lo).
+
+    One bool per integer marks the composites: each prime p <= isqrt(hi),
+    itself sieved here, strikes its multiples from max(p*p, the first
+    multiple of p >= lo).
+    """
+    if lo < 2:
+        raise OutOfRangeError(f"prime window needs lo >= 2, got {lo}")
+    composite = np.zeros(max(hi - lo + 1, 0), dtype=bool)
+    sieving = prime_window(2, math.isqrt(hi)).tolist() if hi >= 4 else []
+    for p in sieving:
+        start = max(p * p, -(-lo // p) * p)
+        composite[start - lo :: p] = True
+    return np.flatnonzero(~composite) + lo
+
+
+def iter_primes(limit: int) -> list[int]:
+    """Primes up to limit, as Python ints."""
+    return prime_window(2, limit).tolist()
 
 
 # deterministic Miller-Rabin bases valid for all n < 3.3 * 10**24

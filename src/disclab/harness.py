@@ -17,6 +17,7 @@ fsum in order.
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
@@ -42,6 +43,7 @@ from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 _BLOCK = 10**7  # widest window of g_range and ktuple_term_range
 _TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
 _TAIL_MAX_BLOCKS = 2**20  # about 1.1e12 moduli: some 7 hours on 2 cores
+_TAIL_IN_FLIGHT = 4  # tail blocks per worker submitted and not yet reduced
 
 _FILTERS = ("none", "a", "P")
 _MODES = ("full", "dyadic")
@@ -431,16 +433,30 @@ def empirical_average(
 # the smoothed-minus-sharp sum of the bias expansion
 
 
+def _map_in_order(pool: ThreadPoolExecutor, fn, items, depth: int):
+    """pool.map(fn, items) read lazily: yields the results in item order and
+    keeps at most depth calls submitted and not yet yielded."""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     """S_R - S_M - S_tail where S_T smooths g_a(r)(1 - r/T) and the tail
     runs the unsmoothed sum over x/R < q <= x/M.  Direct summation throughout.
 
     The tail is cut into fixed blocks of _TAIL_BLOCK moduli, which one
     worker per core sums with one LocalRatios table built before they
-    start.  The block sums are reduced with fsum in block order, and the
+    start.  Blocks are submitted as the reduction reads them, at most
+    _TAIL_IN_FLIGHT per worker ahead, so memory does not grow with the
+    tail.  The block sums are reduced with fsum in block order, and the
     blocks do not depend on the worker count, so S_tail has the same bits
     on every machine.  A tail that reaches 2^53 or needs more than
-    _TAIL_MAX_BLOCKS blocks is refused before any table or block list.
+    _TAIL_MAX_BLOCKS blocks is refused before any table or block.
     """
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
@@ -459,19 +475,18 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     S_M = math.fsum(
         g * (1.0 - r / M) for r, g in enumerate(GR[:Mn].tolist(), start=1)
     )
-    blocks = [(b, min(b + _TAIL_BLOCK - 1, hi)) for b in range(lo, hi + 1, _TAIL_BLOCK)]
-    parts = []
-    if blocks:
+    starts = range(lo, hi + 1, _TAIL_BLOCK)
+    S_tail = 0.0
+    if starts:
         table = LocalRatios(model, a, lo, hi)
 
-        def block_sum(bounds: tuple[int, int]) -> float:
+        def block_sum(b: int) -> float:
             # through g_range, so a wrapper of it (a tracer, a check) sees every block
-            return float(np.sum(g_range(table, a, *bounds)))
+            return float(np.sum(g_range(table, a, b, min(b + _TAIL_BLOCK - 1, hi))))
 
-        workers = min(os.cpu_count() or 1, len(blocks))
+        workers = min(os.cpu_count() or 1, len(starts))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block_sum, blocks))
-    S_tail = math.fsum(parts)
+            S_tail = math.fsum(_map_in_order(pool, block_sum, starts, _TAIL_IN_FLIGHT * workers))
     return S5Sums(S_R, S_M, S_tail, S_R - S_M - S_tail)
 
 

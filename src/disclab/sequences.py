@@ -24,7 +24,9 @@ import numpy as np
 from . import bias
 from . import multfn as mf
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
-from .factorint import as_factored, iter_primes, spf_window
+from .factorint import as_factored, iter_primes, prime_window
+# kept for bench/run.py --trace 1, which wraps it by name, until ROADMAP item 6's benchmark change
+from .factorint import spf_window  # noqa: F401
 from .ktuples import TWIN, KTuple, P_of, is_admissible, nu_H, parse_tuple
 from .quadform import BinaryQuadraticForm, parse_form, r_d, rho_a
 
@@ -360,14 +362,9 @@ def _check_window(lo: int, hi: int):
 
 def _lambda_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Support and log-prime weights of prime powers in [lo, hi]."""
-    lo = max(lo, 2)
-    if lo > hi:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    spf = spf_window(lo, hi + 1)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    primes_mask = spf == ns
-    sup = [ns[primes_mask]]
-    wts = [np.log(sup[0].astype(np.float64))]
+    primes = prime_window(max(lo, 2), hi)
+    sup = [primes]
+    wts = [np.log(primes.astype(np.float64))]
     extra_n, extra_w = [], []
     for p in iter_primes(math.isqrt(hi)):
         pe = p * p

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from disclab.errors import DomainError
+from disclab.errors import DomainError, OutOfRangeError
 from disclab import factorint as fi
 from disclab import multfn as mf
 
@@ -75,6 +75,47 @@ def test_spf_window_matches_direct():
             assert win[i] == brute_spf(n), n
             assert (win[i] == n) == fi.is_prime(n), n
     assert fi.spf_window(square - 300, square + 1)[-1] == 1009
+
+
+def plain_sieve(limit):
+    """Primes up to limit from one boolean array over [0, limit]."""
+    if limit < 2:
+        return []
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return [int(p) for p in np.nonzero(sieve)[0]]
+
+
+def test_prime_window_matches_is_prime():
+    # the windows of test_spf_window_matches_direct, closed at hi - 1
+    square = 1009**2
+    for lo, hi in [(2, 499), (10**9 - 1000, 10**9 - 1), (square - 300, square)]:
+        win = fi.prime_window(lo, hi)
+        assert win.dtype == np.int64
+        assert win.tolist() == [n for n in range(lo, hi + 1) if fi.is_prime(n)], (lo, hi)
+
+
+def test_prime_window_edges():
+    assert fi.prime_window(2, 2).tolist() == [2]
+    assert fi.prime_window(2, 3).tolist() == [2, 3]
+    assert fi.prime_window(3, 3).tolist() == [3]
+    for n in (4, 9, 1009**2):
+        assert fi.prime_window(n, n).tolist() == []
+    assert fi.prime_window(1009, 1009).tolist() == [1009]
+    empty = fi.prime_window(10, 9)
+    assert empty.dtype == np.int64 and len(empty) == 0
+    with pytest.raises(OutOfRangeError):
+        fi.prime_window(1, 10)
+
+
+def test_iter_primes_matches_plain_sieve():
+    for limit in (0, 1, 2, 3, 4, 1000, 31623):
+        got = fi.iter_primes(limit)
+        assert got == plain_sieve(limit), limit
+        assert all(type(p) is int for p in got), limit
 
 
 def test_phi_matches_gcd_count():

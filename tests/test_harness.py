@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -511,6 +513,36 @@ def test_s5_tail_same_bits_at_every_thread_count(monkeypatch):
             _check_s5_tail(model, a, 10.0, 100.0, 10**6)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_s5_tail_keeps_a_few_blocks_in_flight(monkeypatch):
+    # 953 tail blocks over 1e6 < q <= 1e9, each g_range a constant.  The
+    # first block is held until no other block has started for 0.1 s: the
+    # reduction cannot read past it, so only blocks already submitted run.
+    M, R, x = 10.0, 1e4, 10**10
+    lo, hi = int(x / R) + 1, int(x / M)
+    starts = list(range(lo, hi + 1, h._TAIL_BLOCK))
+    started, held_with = [], []
+    lock = threading.Lock()
+
+    def constant_g_range(model, a, b, e):
+        if not isinstance(model, h.LocalRatios):
+            return np.ones(e - b + 1)  # the smoothed sums up to R
+        with lock:
+            started.append(b)
+        if b == lo:
+            seen, deadline = -1, time.monotonic() + 10
+            while len(started) != seen and time.monotonic() < deadline:
+                seen = len(started)
+                time.sleep(0.1)
+            held_with.append(seen)
+        return np.array([float(e - b + 1)])
+
+    monkeypatch.setattr(h.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(h, "g_range", constant_g_range)
+    assert h.s5_sums(mf.primes_model(), 1, M, R, x).S_tail == hi - lo + 1
+    assert sorted(started) == starts and len(starts) == 953
+    assert 2 <= held_with[0] <= 2 * h._TAIL_IN_FLIGHT, held_with
 
 
 def test_local_ratios_cover_their_range():

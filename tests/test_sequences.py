@@ -5,7 +5,7 @@ import pytest
 
 from disclab.errors import DomainError, ResourceError, UnsupportedError
 from disclab import sequences as sq
-from disclab.factorint import factors_of
+from disclab.factorint import factors_of, iter_primes, spf_window
 from disclab.ktuples import TWIN, KTuple
 from disclab.quadform import BinaryQuadraticForm
 
@@ -42,6 +42,42 @@ def test_lambda_window_matches_von_mangoldt():
     dense = sq.dense_weights(w, 1500)
     for n in range(500, 1501):
         assert dense[n] == pytest.approx(von_mangoldt(n), abs=1e-12)
+
+
+def lambda_window_by_spf(lo, hi):
+    """_lambda_window with its primes read off the smallest-prime-factor
+    window as spf == n, the sieve it had before the boolean prime window."""
+    lo = max(lo, 2)
+    spf = spf_window(lo, hi + 1)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    sup = [ns[spf == ns]]
+    wts = [np.log(sup[0].astype(np.float64))]
+    for p in iter_primes(math.isqrt(hi)):
+        pe = p * p
+        while pe <= hi:
+            if pe >= lo:
+                sup.append(np.array([pe], dtype=np.int64))
+                wts.append(np.array([math.log(p)], dtype=np.float64))
+            pe *= p
+    support = np.concatenate(sup)
+    order = np.argsort(support, kind="stable")
+    return support[order], np.concatenate(wts)[order]
+
+
+def same_bytes(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_lambda_window_same_bytes_as_spf_reference(monkeypatch):
+    square = 1009**2
+    for lo, hi in [(1, 10**5), (10**8, 10**8 + 10**5), (square - 10**4, square)]:
+        assert same_bytes(sq._lambda_window(lo, hi), lambda_window_by_spf(lo, hi)), (lo, hi)
+    tuples = [TWIN, KTuple(((1, 0), (1, 2), (1, 6))), KTuple(((2, 1), (1, 4)))]
+    got = [sq.KTupleWeight(H).window(1, 10**5) for H in tuples]
+    monkeypatch.setattr(sq, "_lambda_window", lambda_window_by_spf)
+    for H, window in zip(tuples, got):
+        assert len(window[0]) > 100
+        assert same_bytes(window, sq.KTupleWeight(H).window(1, 10**5)), H.label()
 
 
 def test_quadform_weights():
