@@ -8,8 +8,8 @@ M*S5 - mu_leading tends to -C5, and bias.predict_s5 gives the full expected
 value).  Large moduli are summed by their cofactor, the divisor switch;
 verify.divisor_switch_check holds those slices to the exact identity.
 Everything reduces floats in a fixed order so repeated runs are bit-identical,
-at every thread count: empirical_average hands each thread a contiguous
-q-range of sums formed in a fixed order, and s5_sums sums its tail in fixed
+at every thread count: empirical_average hands its threads contiguous
+q-ranges of sums formed in a fixed order, and s5_sums sums its tail in fixed
 blocks of _TAIL_BLOCK moduli on a pool of one thread per core, from one
 LocalRatios table built before the pool starts, and reduces the blocks with
 fsum in order.
@@ -44,6 +44,7 @@ _BLOCK = 10**7  # widest window of g_range and ktuple_term_range
 _TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
 _TAIL_MAX_BLOCKS = 2**20  # about 1.1e12 moduli: some 7 hours on 2 cores
 _TAIL_IN_FLIGHT = 4  # tail blocks per worker submitted and not yet reduced
+_CHUNKS_PER_THREAD = 4  # q-ranges per thread of empirical_average's pool
 
 _FILTERS = ("none", "a", "P")
 _MODES = ("full", "dyadic")
@@ -307,7 +308,8 @@ def prediction_refusal(cfg: ExperimentConfig) -> Optional[str]:
 
 def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np.ndarray:
     """For each q in [lo, hi] with keep[q - lo], in q-order: the sum of w[n]
-    over 1 <= n <= x = len(w) - 1 with n = a mod q, in w's dtype.
+    over 1 <= n <= x = len(w) - 1 with n = a mod q, in int64 for integer w
+    of any width and in float64 otherwise.
 
     A modulus q <= Q0 = max(isqrt(x), |a|) sums its own strided slice.  Above
     Q0 the terms are n = a + rq, grouped by the cofactor r >= 1 (and n = a
@@ -319,12 +321,15 @@ def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np
     """
     x = len(w) - 1
     q0 = max(math.isqrt(x), abs(a))
-    small = [w[a % q or q :: q].sum() for q in range(lo, min(hi, q0) + 1) if keep[q - lo]]
-    sums = np.array(small, dtype=w.dtype)
+    dtype = np.int64 if w.dtype.kind in "iu" else np.float64
+    small = [
+        w[a % q or q :: q].sum(dtype=dtype) for q in range(lo, min(hi, q0) + 1) if keep[q - lo]
+    ]
+    sums = np.array(small, dtype=dtype)
     big_lo = max(lo, q0 + 1)
     if big_lo > hi:
         return sums
-    acc = np.zeros(hi - big_lo + 1, dtype=w.dtype)
+    acc = np.zeros(hi - big_lo + 1, dtype=dtype)
     if a > 0:
         acc += w[a]
     for s in _cofactor_slices(w, a, big_lo, hi):
@@ -363,8 +368,11 @@ def _dense_window(
 
 
 def _chunks(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
-    """[lo, hi] cut into at most n contiguous ranges of about equal work: a
-    modulus q costs about x/q terms, so the cuts are spaced geometrically."""
+    """[lo, hi] cut into at most n contiguous ranges, spaced geometrically,
+    so each holds about as many terms (a modulus q has about x/q of them).
+    A term's cost is not even: at x = 1e7 (primes, a = 1, 2-core box) the
+    eight ranges of [1, 5e5] took 32 to 156 ms each, least at q <= 4, most
+    just below sqrt(x), so a pool is handed more ranges than threads."""
     cuts = np.unique(np.geomspace(lo, hi + 1, n + 1).round().astype(np.int64))
     return [(int(i), int(j) - 1) for i, j in zip(cuts[:-1], cuts[1:])]
 
@@ -377,9 +385,10 @@ def empirical_average(
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
 
     The per-q counts come from _slice_sums, integer families in integers;
-    threads > 1 hands each worker a contiguous range of moduli.  Each count
-    is formed in a fixed order and the float terms are reduced with fsum, so
-    the report is the same at every thread count.
+    threads > 1 hands the pool _CHUNKS_PER_THREAD contiguous ranges of
+    moduli per thread, each taken by the next free worker.  Each count is
+    formed in a fixed order and the float terms are reduced with fsum's bits
+    (sequences.array_fsum), so the report is the same at every thread count.
     """
     t0 = time.perf_counter()
     if cfg.kind.required_filter not in (None, cfg.coprime_filter):
@@ -409,10 +418,11 @@ def empirical_average(
             sums = part((q_lo, q_hi))
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                sums = np.concatenate(list(pool.map(part, _chunks(q_lo, q_hi, threads))))
+                chunks = _chunks(q_lo, q_hi, _CHUNKS_PER_THREAD * threads)
+                sums = np.concatenate(list(pool.map(part, chunks)))
         terms = sums.astype(np.float64) - pm - G[mask] * A_xf
     q_count = len(terms)
-    empirical = math.fsum(terms.tolist())
+    empirical = sq.array_fsum(terms)
     norm = _normalizer(cfg, A_xf)
     normalized = empirical / norm if norm != 0 else math.nan
     try:

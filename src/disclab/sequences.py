@@ -35,6 +35,9 @@ MAX_WINDOW = 6 * 10**7
 # largest n any window may reach
 MAX_TABLE_LIMIT = 10**9
 
+# values per block of array_fsum: bounds its temporaries at 2 MB each
+_FSUM_BLOCK = 2**18
+
 _CACHE_MAGIC = b"DLSW"
 _CACHE_VERSION = 1
 
@@ -413,10 +416,44 @@ def sieve(kind: Family, lo: int, hi: int) -> SievedWindow:
     return SievedWindow(kind.label(), lo, hi, support, weights)
 
 
+def array_fsum(values: np.ndarray) -> float:
+    """math.fsum(values) of a float64 array, bit for bit, in numpy passes.
+
+    Each block of _FSUM_BLOCK values is split without error, as in Rump,
+    Ogita and Oishi's AccSum (SIAM J. Sci. Comput., 2008): with sigma a
+    power of two at least 2^m max|p|, 2^m above the block's length, the
+    parts q = (sigma + p) - sigma are multiples of 2^-53 sigma whose numpy
+    sum is exact, and p - q, at most 2^-53 sigma, is split again until it is
+    zero.  fsum of the exact part sums is the correctly rounded total, which
+    is fsum's result.  Where fsum decides otherwise, values go to math.fsum
+    itself: a nan or inf, a total of zero (its sign), and magnitudes whose
+    sum could overflow (fsum raises on intermediate overflow).
+    """
+    n = len(values)
+    if n == 0 or not np.isfinite(values).all():
+        return math.fsum(values)
+    # every |value| < 2^top, so sigma and every sum below stay under 2^1022
+    top = math.frexp(float(np.abs(values).max()))[1]
+    if top + n.bit_length() > 1022:
+        return math.fsum(values)
+    parts = []
+    for start in range(0, n, _FSUM_BLOCK):
+        p = values[start : start + _FSUM_BLOCK]
+        m = len(p).bit_length()
+        while (high := float(np.abs(p).max())) > 0.0:
+            sigma = math.ldexp(1.0, math.frexp(high)[1] + m)
+            q = sigma + p
+            q -= sigma
+            parts.append(float(q.sum()))
+            p = p - q
+    total = math.fsum(parts)
+    return total if total != 0.0 else math.fsum(values)
+
+
 def _reduce(values) -> float | int:
-    if values.dtype == np.int64:
-        return int(values.sum())
-    return math.fsum(values)
+    if values.dtype.kind in "iu":
+        return int(values.sum(dtype=np.int64))
+    return array_fsum(values)
 
 
 def count_A(window: SievedWindow) -> float | int:
@@ -440,9 +477,17 @@ def count_Aqa(window: SievedWindow, q: int, a: int) -> float | int:
 
 
 def dense_weights(window: SievedWindow, size: int | None = None) -> np.ndarray:
-    """Dense array w with w[n] = weight(n), for strided slice sums."""
+    """Dense array w with w[n] = weight(n), for strided slice sums.
+
+    Float weights stay float64.  Integer weights take the narrowest dtype
+    that holds the largest, uint8 for an indicator, so a strided pass reads
+    fewer bytes; sum them in int64.
+    """
     size = window.hi if size is None else size
-    out = np.zeros(size + 1, dtype=window.weights.dtype)
+    dtype = window.weights.dtype
+    if dtype.kind in "iu":
+        dtype = np.min_scalar_type(int(window.weights.max(initial=0)))
+    out = np.zeros(size + 1, dtype=dtype)
     keep = window.support <= size
     out[window.support[keep]] = window.weights[keep]
     return out

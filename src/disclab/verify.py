@@ -211,8 +211,9 @@ def divisor_switch_check(
     The direct side gathers A*(x;q,a), the terms n = a + kq with k >= 1,
     modulus by modulus over x/M < q <= x - a.  The switched side is the
     cofactor slices harness._slice_sums adds, which group the same terms by
-    r.  Integer families sum in integers; weighted families compare fsum
-    against fsum of the identical multiset, so equality is still exact.
+    r.  Integer families sum in int64 over the narrow dense array; weighted
+    families compare fsum against fsum of the identical multiset, so
+    equality is still exact.
     """
     if a <= 0:
         raise DomainError(f"the identity is stated for a > 0, got a={a}")

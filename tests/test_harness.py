@@ -301,8 +301,11 @@ def test_twin_run_carries_conditional_prediction():
 
 
 def _per_q_sums(w, a, lo, hi, keep):
-    """The oracle: one strided slice per modulus, summed by numpy."""
-    return [w[a % q or q :: q].sum() for q in range(lo, hi + 1) if keep[q - lo]]
+    """The oracle: one strided slice per modulus, summed by numpy, integer
+    weights of any width in int64."""
+    dtype = np.int64 if w.dtype.kind in "iu" else np.float64
+    sums = [w[a % q or q :: q].sum(dtype=dtype) for q in range(lo, hi + 1) if keep[q - lo]]
+    return np.array(sums, dtype=dtype)
 
 
 def test_divisor_switched_sums_match_per_q_loop():
@@ -327,10 +330,14 @@ def test_divisor_switched_sums_match_per_q_loop():
             lo, hi = cfg.q_range()
             keep = h._filter_mask(cfg, lo, hi)
             got = h._slice_sums(w, a, lo, hi, keep)
-            want = np.array(_per_q_sums(w, a, lo, hi, keep), dtype=w.dtype)
-            assert got.dtype == w.dtype and len(got) == len(want) == keep.sum()
+            want = _per_q_sums(w, a, lo, hi, keep)
+            assert got.dtype == (np.int64 if kind.integer_weights else np.float64)
+            assert len(got) == len(want) == keep.sum()
             if kind.integer_weights:
                 assert np.array_equal(got, want), (kind, a, mode, filt)
+                # the narrow dense array sums as its int64 copy does
+                wide = h._slice_sums(w.astype(np.int64), a, lo, hi, keep)
+                assert np.array_equal(got, wide), (kind, a, mode, filt)
             else:
                 # weights are positive, so want is the summed magnitude
                 assert np.all(np.abs(got - want) <= 1e-12 * want), (kind, a, mode, filt)
@@ -363,6 +370,27 @@ def test_divisor_switched_sums_match_per_q_loop():
         assert np.array_equal(np.concatenate(parts), whole)
 
 
+def test_slice_sums_hold_counts_past_the_dense_dtype():
+    # the dense arrays are uint8 here; these classes hold more than 255
+    # points both at q <= Q0, summed slice by slice, and above Q0, in the
+    # cofactor accumulator, so a sum kept in w's dtype would wrap
+    x2y2 = sq.QuadFormMult(BinaryQuadraticForm(1, 0, 1))
+    for kind, x in ((x2y2, 20011), (sq.SumTwoSquares(), 2 * 10**5)):
+        win = sq.sieve(kind, 1, x)
+        w = sq.dense_weights(win, size=x)
+        cfg = h.ExperimentConfig(kind=kind, a=5, x=x, M=5.0)
+        lo, hi = cfg.q_range()
+        keep = np.ones(hi - lo + 1, dtype=bool)
+        got = h._slice_sums(w, 5, lo, hi, keep)
+        want = _per_q_sums(w, 5, lo, hi, keep)
+        q0 = math.isqrt(x)
+        assert w.dtype == np.uint8 and want[:q0].max() > 255 and want[q0:].max() > 255
+        assert got.dtype == np.int64 and np.array_equal(got, want), kind
+        G = h._term_array(cfg, lo, hi)
+        terms = want.astype(np.float64) - float(w[5]) - G * float(sq.count_A(win))
+        assert h.empirical_average(cfg, window=win).empirical_sum == math.fsum(terms.tolist())
+
+
 def test_rough_report_sieves_once(monkeypatch):
     # rough(50) at x = 1e5 is in the large-y regime, where the closed form
     # needs the density A(x)/x that the run's own window already holds
@@ -378,14 +406,37 @@ def test_rough_report_sieves_once(monkeypatch):
 
 
 def test_thread_count_does_not_change_floats():
-    cfg = h.ExperimentConfig(
-        kind=sq.PrimesLambda(), a=1, x=10**6, M=10.0, coprime_filter="a"
-    )
-    win = sq.sieve(cfg.kind, 1, cfg.x)
-    r1 = h.empirical_average(cfg, window=win, threads=1)
-    r4 = h.empirical_average(cfg, window=win, threads=4)
-    assert r1.empirical_sum == r4.empirical_sum
-    assert r1.normalized_avg == r4.normalized_avg
+    # the pool takes more q-ranges than threads, cut where the thread count
+    # says; no cut may move a bit of the report
+    x = 10**6
+    cfgs = [
+        h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=x, M=10.0, coprime_filter="a"),
+        h.ExperimentConfig(kind=sq.SumTwoSquares(), a=5, x=x, M=10.0, mode="dyadic"),
+    ]
+    for cfg in cfgs:
+        win = sq.sieve(cfg.kind, 1, x)
+        reps = {
+            repr(dataclasses.replace(h.empirical_average(cfg, window=win, threads=t), runtime_ms=0))
+            for t in (1, 2, 3, 4, 7)
+        }
+        assert len(reps) == 1, cfg.kind
+
+
+def test_slice_sums_do_not_depend_on_the_cut():
+    # random cuts of [lo, hi], on either side of Q0 = 447, summed piece by
+    # piece and concatenated, equal one pass, bit for bit
+    rng = np.random.default_rng(16)
+    x = 2 * 10**5
+    for kind in (sq.PrimesLambda(), sq.SumTwoSquares()):
+        w = sq.dense_weights(sq.sieve(kind, 1, x), size=x)
+        for a, lo, hi in ((1, 1, 20000), (-4, 300, 9000), (500, 2, 40000)):
+            keep = rng.random(hi - lo + 1) < 0.8
+            whole = h._slice_sums(w, a, lo, hi, keep)
+            for _ in range(3):
+                cuts = np.unique(rng.integers(lo + 1, hi + 1, size=int(rng.integers(1, 9))))
+                bounds = list(zip([lo, *cuts.tolist()], [*(cuts - 1).tolist(), hi]))
+                parts = [h._slice_sums(w, a, i, j, keep[i - lo : j - lo + 1]) for i, j in bounds]
+                assert np.array_equal(np.concatenate(parts), whole), (kind, a, bounds)
 
 
 def test_dyadic_windows_telescope_to_full():

@@ -185,6 +185,96 @@ def test_count_A_upto():
     assert sq.count_A_upto(w, 0) == 0
 
 
+def test_dense_weights_narrow_integer_windows_only():
+    # windows keep int64 and float64; only the dense array narrows, and the
+    # counts over it stay exact in int64
+    ts = sq.sieve(sq.SumTwoSquares(), 1, 1000)
+    lam = sq.sieve(sq.PrimesLambda(), 1, 1000)
+    heavy = sq.SievedWindow("heavy", 1, 10, np.array([2, 7]), np.array([1, 300]))
+    assert ts.weights.dtype == heavy.weights.dtype == np.int64
+    assert sq.dense_weights(ts).dtype == np.uint8
+    assert sq.dense_weights(sq.sieve(sq.QuadFormMult(X2Y2), 1, 1000)).dtype == np.uint8
+    assert sq.dense_weights(heavy).dtype == np.uint16 and sq.dense_weights(heavy)[7] == 300
+    assert sq.dense_weights(lam).dtype == np.float64
+    empty = sq.SievedWindow("empty", 1, 5, np.array([], np.int64), np.array([], np.int64))
+    assert sq.dense_weights(empty).dtype == np.uint8
+    assert sq._reduce(np.ones(300, dtype=np.uint8)) == 300
+    assert type(sq._reduce(sq.dense_weights(ts))) is int
+
+
+def _as_fsum(values: np.ndarray):
+    """array_fsum(values) returns what math.fsum returns, by repr, or raises
+    what it raises."""
+    try:
+        want = math.fsum(values.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            sq.array_fsum(values)
+        return
+    assert repr(sq.array_fsum(values)) == repr(want), values
+
+
+def test_array_fsum_random_exponents(monkeypatch):
+    rng = np.random.default_rng(1)
+
+    def spread(n):
+        return rng.standard_normal(n) * np.exp2(rng.integers(-1000, 1001, n).astype(np.float64))
+
+    for n in (1, 2, 3, 17, 1000):
+        for _ in range(20):
+            _as_fsum(spread(n))
+    # more than one block, at the real block size and at a small one
+    _as_fsum(spread(sq._FSUM_BLOCK + 1000))
+    monkeypatch.setattr(sq, "_FSUM_BLOCK", 16)
+    for n in (15, 16, 17, 100, 1000):
+        for _ in range(20):
+            _as_fsum(spread(n))
+
+
+def test_array_fsum_cancellation_and_ties(monkeypatch):
+    rng = np.random.default_rng(2)
+    for block in (sq._FSUM_BLOCK, 7):
+        monkeypatch.setattr(sq, "_FSUM_BLOCK", block)
+        for _ in range(30):
+            big = rng.standard_normal(200) * 10.0 ** rng.integers(-20, 300, 200)
+            small = rng.standard_normal(5) * 10.0 ** rng.integers(-300, 0, 5)
+            _as_fsum(rng.permutation(np.concatenate([big, -big, small])))
+        for values in (
+            [1e100, 1.0, -1e100],
+            [1.0, 2.0**-53],  # a tie, to even: 1.0
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie, to even: up
+            [1.0, 2.0**-53, 2.0**-106],  # just past the tie: up
+            [1.0, 2.0**-53, -(2.0**-106)],
+            [-1.0, -(2.0**-53), 1e-300, -1e-300],
+            [2.0**60, 1.0, -(2.0**60), 2.0**-60],
+        ):
+            _as_fsum(np.array(values))
+
+
+def test_array_fsum_zeros_and_subnormals():
+    rng = np.random.default_rng(3)
+    tiny = 2.0**-1074
+    for values in ([], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [tiny] * 7):
+        _as_fsum(np.array(values, dtype=np.float64))
+    for _ in range(30):
+        _as_fsum(rng.integers(-(2**52), 2**52, 50) * tiny)
+        mixed = [rng.integers(-9, 9, 20) * tiny, rng.standard_normal(3) * 2.0**-1000]
+        _as_fsum(np.concatenate(mixed))
+
+
+def test_array_fsum_specials_and_overflow():
+    inf, nan, big = math.inf, math.nan, 1e308
+    for values in (
+        [nan], [1.0, nan], [inf], [1.0, -inf], [inf, inf], [inf, -inf], [nan, inf],
+        [big, big],  # overflows
+        [big, big, -big],  # finite total, but fsum overflows on the way
+        [big, -big, 1.0],  # no overflow: 1.0
+        [8.98e307, 8.98e307],  # below the largest float
+        [1.7976931348623157e308, 1e292],  # rounds to infinity: fsum raises
+    ):
+        _as_fsum(np.array(values))
+
+
 def test_Ad_identity_two_squares():
     kind = sq.SumTwoSquares()
     for d in [1, 2, 3, 4, 6, 9, 21, 49, 100]:
