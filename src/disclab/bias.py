@@ -9,7 +9,7 @@ for primes (k = 0, h(p) = 0) and at every p >= y for rough(y) (k = 1,
 h(p) = 1).  A model that lists its other primes in tail_primes has only those
 visited; a model that lists none (a fractional k) is walked over every prime
 up to P_trunc.  Each family's predict (sequences) states its worked
-prediction with its own normalizer, from the constants and quadratures here;
+prediction with its own normalizer, from the constants and closed forms here;
 predict_example reaches it by name.
 """
 
@@ -18,10 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.special import digamma as _digamma
 
 from .errors import ConfigurationError, DomainError, UnsupportedError
 from .factorint import as_factored, iter_primes, kronecker
@@ -213,35 +209,39 @@ def mu_specialized(model: SequenceModel, a, M: float, P_trunc: int = 10**6) -> B
 
 
 def area_unit_region(form: BinaryQuadraticForm) -> float:
-    """Area of {x, y >= 0 : Q(x,y) <= 1} by numeric integration."""
-    alpha, beta, gamma = form.alpha, form.beta, form.gamma
-    d = form.disc
-    xmax = math.sqrt(4 * gamma / abs(d))
+    """Area of {x, y >= 0 : Q(x,y) <= 1}, in closed form.
 
-    def ylen(x: float) -> float:
-        disc = d * x * x + 4 * gamma
-        if disc <= 0:
-            return 0.0
-        root = math.sqrt(disc)
-        yhi = (-beta * x + root) / (2 * gamma)
-        ylo = (-beta * x - root) / (2 * gamma)
-        return max(0.0, yhi - max(ylo, 0.0)) if yhi > 0 else 0.0
-
-    val, _err = _quad(ylen, 0.0, xmax, limit=200)
-    return val
+    In polar coordinates the area is 1/2 int_0^{pi/2} dtheta / Q(cos, sin);
+    t = tan theta turns it into 1/2 int_0^inf dt / (alpha + beta t + gamma t^2)
+    = (pi/2 - atan(beta / sqrt D)) / sqrt D with D = 4 alpha gamma - beta^2 =
+    -disc.  atan2(sqrt D, beta) is that numerator without the cancellation
+    at large beta.
+    """
+    root = math.sqrt(-form.disc)
+    return math.atan2(root, form.beta) / root
 
 
 def L_one_chi(d: int) -> float:
-    """L(1, chi) for the quadratic character attached to discriminant d,
-    evaluated by the finite digamma sum over one period (no truncation)."""
+    """L(1, chi) for the quadratic character chi = kronecker(4d, .) mod
+    P = 4|d|, in closed form.
+
+    Gauss's digamma theorem, L(1, chi) = -1/P sum_r chi(r) psi(r/P), folds
+    for an odd character (d < 0) by psi(1 - x) - psi(x) = pi cot(pi x) into
+    the half period (pi/P) sum_{1 <= r < P/2} chi(r) cot(pi r/P), with no
+    truncation.
+    """
     if d >= 0:
         raise DomainError(f"need a negative discriminant, got {d}")
     P = 4 * abs(d)
-    rs = np.arange(1, P + 1, dtype=np.float64)
-    chi = np.array([kronecker(4 * d, r) for r in range(1, P + 1)], dtype=np.float64)
-    if abs(chi.sum()) > 1e-12:
+    chi = [kronecker(4 * d, r) for r in range(P)]
+    if sum(chi) != 0:
         raise DomainError(f"character mod {P} is principal; bad discriminant {d}")
-    return float(-(chi * _digamma(rs / P)).sum() / P)
+    terms = (
+        c * math.cos(math.pi * r / P) / math.sin(math.pi * r / P)
+        for r, c in enumerate(chi[: P // 2])
+        if c
+    )
+    return math.pi / P * math.fsum(terms)
 
 
 def predict_example(

@@ -1,6 +1,11 @@
 import dataclasses
+import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from disclab import bias, ktuples
 from disclab import multfn as mf
 from disclab import sequences as sq
 from disclab.errors import ConfigurationError, DomainError, UnsupportedError
-from disclab.factorint import as_factored, iter_primes
+from disclab.factorint import as_factored, iter_primes, kronecker
 from disclab.quadform import BinaryQuadraticForm
 
 
@@ -167,6 +172,37 @@ def test_area_unit_region():
     assert bias.area_unit_region(BinaryQuadraticForm(1, 1, 1)) == pytest.approx(
         math.pi / (3 * math.sqrt(3)), abs=1e-10
     )
+    # the negative cross term widens the quadrant's region to twice that
+    assert bias.area_unit_region(BinaryQuadraticForm(1, -1, 1)) == pytest.approx(
+        2 * math.pi / (3 * math.sqrt(3)), abs=1e-10
+    )
+
+
+def test_area_unit_region_matches_quadrature():
+    """The closed form against 1/2 int_0^{pi/2} dtheta / Q(cos, sin) at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+
+    @functools.cache
+    def cos_sin(t):  # every form's quadrature visits the same nodes
+        return mpmath.cos(t), mpmath.sin(t)
+
+    def inverse_q(alpha, beta, gamma):
+        def f(t):
+            c, s = cos_sin(t)
+            return 1 / (alpha * c * c + beta * c * s + gamma * s * s)
+        return f
+
+    worst = 0.0
+    for alpha in range(1, 8):
+        for gamma in range(1, 8):
+            for beta in range(-7, 8):
+                if 4 * alpha * gamma <= beta * beta:
+                    continue
+                want = mpmath.quad(inverse_q(alpha, beta, gamma), [0, mpmath.pi / 2]) / 2
+                got = bias.area_unit_region(BinaryQuadraticForm(alpha, beta, gamma))
+                worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-15
 
 
 def test_L_one_chi():
@@ -175,8 +211,44 @@ def test_L_one_chi():
     # period 12 character: the conductor-3 value times (1 + 1/2)
     assert bias.L_one_chi(-3) == pytest.approx(math.pi / (2 * math.sqrt(3)), abs=1e-9)
     assert bias.L_one_chi(-20) == pytest.approx(math.pi / math.sqrt(5), abs=1e-9)
-    with pytest.raises(DomainError):
-        bias.L_one_chi(4)
+    for d in (0, 1, 4, 5, 12):
+        with pytest.raises(DomainError):
+            bias.L_one_chi(d)
+
+
+def test_L_one_chi_matches_digamma_sum():
+    """The half-period cot sum against -1/P sum_r chi(r) psi(r/P) over the full
+    period at 30 digits, chi = kronecker(4d, .) and P = 4|d|."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for d in list(range(-399, -2)) + [-1003, -4003, -10007]:
+        P = 4 * abs(d)
+        terms = []
+        for r in range(1, P):
+            c = kronecker(4 * d, r)
+            if c:
+                terms.append(c * mpmath.digamma(mpmath.mpf(r) / P))
+        want = -mpmath.fsum(terms) / P
+        worst = max(worst, float(abs(bias.L_one_chi(d) - want) / want))
+    assert worst <= 1e-15
+
+
+def test_import_path_loads_no_scipy():
+    """A fresh interpreter imports the package, the CLI and every layer it runs
+    without scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import disclab, disclab.cli, disclab.harness, disclab.bias, disclab.sequences\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_quadform_prediction():
