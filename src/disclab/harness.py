@@ -45,6 +45,9 @@ _TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
 _TAIL_MAX_BLOCKS = 2**20  # about 1.1e12 moduli: some 7 hours on 2 cores
 _TAIL_IN_FLIGHT = 4  # tail blocks per worker submitted and not yet reduced
 _CHUNKS_PER_THREAD = 4  # q-ranges per thread of empirical_average's pool
+_TILE_POWERS = ((2, 4), (3, 2), (5, 1), (7, 1))  # p and the cap of p^e in the cofactor tile
+_TILE_PERIOD = math.prod(p**k for p, k in _TILE_POWERS)  # 5040
+_LEFTOVER_CHUNK = 2**16  # moduli per pass of the sieve's leftover; its arrays stay in L2
 
 _FILTERS = ("none", "a", "P")
 _MODES = ("full", "dyadic")
@@ -130,6 +133,20 @@ def _check_window(lo: int, hi: int) -> None:
         raise ResourceError(f"window [{lo}, {hi}] reaches 2^53, past exact float cofactors")
 
 
+def _cofactor_tile() -> np.ndarray:
+    """tile[t] = the product of p^min(v_p(t), k) over (p, k) in
+    _TILE_POWERS, for t = 0 .. _TILE_PERIOD - 1: the small primes' part of
+    the strided cofactor of every q = t mod the period."""
+    tile = np.ones(_TILE_PERIOD, dtype=np.float64)
+    for p, k in _TILE_POWERS:
+        for j in range(1, k + 1):
+            tile[:: p**j] *= p
+    return tile
+
+
+_TILE = _cofactor_tile()
+
+
 def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarray:
     """Product of local factors of each q in [lo, hi], one float per q.
 
@@ -140,29 +157,43 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
     above sqrt(hi).  leftover(P, out) writes its factor for every P into
     out, the spent D, and may overwrite P; the entries at P = 1 are reset
     to 1 and the rest multiply in.
+
+    The bits of G do not depend on how D and the leftover are laid out.
+    D is a product of integers, each partial product a divisor of q below
+    2^53, so it is exact in any order: once sqrt(hi) reaches the tile's
+    primes, D starts from the periodic _TILE, which holds p^e for e up to
+    each prime's cap, and only the higher powers stride D.  G takes every
+    ratio(p, e) by its own stride, p ascending and e ascending within p;
+    that order sets G's bits.  The leftover is elementwise, so it runs in
+    chunks of _LEFTOVER_CHUNK moduli that stay in cache.
     """
     n = hi - lo + 1
     G = np.ones(n, dtype=np.float64)
-    D = np.ones(n, dtype=np.float64)
     root = math.isqrt(hi)
+    caps = dict(_TILE_POWERS) if root >= _TILE_POWERS[-1][0] else {}
+    D = np.resize(np.roll(_TILE, -(lo % _TILE_PERIOD)), n) if caps else np.ones(n)
     above = (p for p in sorted(extra) if root < p <= hi)
     for p in itertools.chain(iter_primes(root), above):
+        cap = caps.get(p, 0)
         pe, e = p, 1
         while pe <= hi:
             start = ((lo + pe - 1) // pe) * pe
             if start > hi:
                 break
             G[start - lo :: pe] *= ratio(p, e)
-            D[start - lo :: pe] *= p
+            if e > cap:
+                D[start - lo :: pe] *= p
             e += 1
             pe *= p
-    P = np.arange(lo, hi + 1, dtype=np.float64)
-    P /= D
-    one = P == 1
     with np.errstate(divide="ignore", invalid="ignore"):  # P = 1 divides by zero
-        L = leftover(P, D)
-    np.copyto(L, 1.0, where=one)
-    G *= L
+        for c in range(0, n, _LEFTOVER_CHUNK):
+            d = D[c : c + _LEFTOVER_CHUNK]
+            P = np.arange(lo + c, lo + c + len(d), dtype=np.float64)
+            P /= d
+            one = np.flatnonzero(P == 1)
+            L = leftover(P, d)
+            L[one] = 1.0
+            G[c : c + len(d)] *= L
     return G
 
 

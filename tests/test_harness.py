@@ -99,6 +99,16 @@ _ORACLE_WINDOWS = [
     (2001, 4000),
     (10001, 10000 + 2**20),
     (10**9 - 2**20 + 1, 10**9),
+    # sqrt(hi) below the cofactor tile's largest prime 7: D strides from ones
+    (30, 48),
+    # across the multiple 3 * 5040 of the tile's period
+    (3 * 5040 - 100, 3 * 5040 + 100),
+    # longer than the period, from mid-period
+    (7 * 5040 + 2521, 9 * 5040 + 1000),
+    # 2^21, a power of 2 above the tile's cap 2^4
+    (2**21 - 2000, 2**21 + 2000),
+    # three leftover chunks and a partial fourth, from mid-period
+    (10**8 + 17, 10**8 + 16 + 3 * 2**16 + 4321),
 ]
 
 
@@ -113,8 +123,9 @@ def test_g_range_same_bits_as_integer_cofactor_oracle(lo, hi):
         # bad prime 23
         mf.quadform_model(BinaryQuadraticForm(2, 1, 3)),
     ]
-    # on the small windows the divisor 1009 of a lies above sqrt(hi)
-    shifts = (1, -3, 3 * 1009) if hi <= 5000 else (1, -3)
+    # on the small windows the divisor 1009 of a lies above sqrt(hi), and
+    # on (30, 48), which takes no tile, so does the divisor 7 of a = -7
+    shifts = (1, -3, 3 * 1009, -7) if hi <= 5000 else (1, -3)
     for model, a in itertools.product(models, shifts):
         table = h.LocalRatios(model, a, lo, hi)
         want = _oracle_sieve(
