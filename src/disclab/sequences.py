@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional
@@ -150,8 +151,15 @@ class SumTwoSquares(Family):
     routes = {("none", "dyadic"): "predict"}
 
     def window(self, lo, hi):
-        idx = np.nonzero(_form_counts(BinaryQuadraticForm(1, 0, 1), lo, hi))[0]
-        return idx + lo, np.ones(len(idx), dtype=np.int64)
+        # one bool per integer, marked at each u^2 + v^2 with u <= v
+        hit = np.zeros(hi - lo + 1, dtype=bool)
+        squares = np.arange(math.isqrt(hi) + 1, dtype=np.int64) ** 2
+        for u in range(math.isqrt(hi // 2) + 1):
+            uu = u * u
+            vmin = max(u, math.isqrt(lo - uu - 1) + 1 if lo > uu else 0)
+            hit[squares[vmin : math.isqrt(hi - uu) + 1] + (uu - lo)] = True
+        support = np.flatnonzero(hit) + lo
+        return support, np.ones(len(support), dtype=np.int64)
 
     def model(self):
         return mf.two_squares_model()
@@ -191,9 +199,16 @@ class KTupleWeight(Family):
         return f"ktuple_{self.tuple.label()}"
 
     def window(self, lo, hi):
-        common = None
-        weights = None
-        for a, b in self.tuple.forms:
+        """n in [lo, hi] where every form is a prime power, weighted by the
+        product of their log-prime weights in form order.
+
+        Every form's range is checked before any sieve.  Forms that share a
+        coefficient and whose value ranges overlap share one _lambda_window
+        over the hull (up to MAX_WINDOW wide); each form reads the hull's
+        membership as a strided view, and the views are ANDed.
+        """
+        forms = self.tuple.forms
+        for a, b in forms:
             vlo, vhi = a * lo + b, a * hi + b
             if vhi < 2:
                 return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
@@ -201,19 +216,35 @@ class KTupleWeight(Family):
                 raise ResourceError(
                     f"form {a}n+{b} needs values up to {vhi}; shrink the window"
                 )
-            vsup, vwts = _lambda_window(max(vlo, 2), vhi)
-            keep = (vsup - b) % a == 0
-            ns = (vsup[keep] - b) // a
-            inside = ns >= lo
-            ns, ws = ns[inside], vwts[keep][inside]
-            if common is None:
-                common, weights = ns, ws
+        # values below 2 carry no weight: every form is >= 2 from n0 on
+        n0 = max([lo] + [-((b - 2) // a) for a, b in forms])
+        count = hi - n0 + 1
+        hulls = []  # [coefficient, value lo, value hi, offsets]
+        for a, b in sorted(forms):
+            vlo, vhi = a * n0 + b, a * hi + b
+            last = hulls[-1] if hulls else None
+            if last and last[0] == a and vlo <= last[2] + 1 and vhi - last[1] < MAX_WINDOW:
+                last[2] = vhi
+                last[3].append(b)
             else:
-                common, ia, ib = np.intersect1d(common, ns, assume_unique=True, return_indices=True)
-                weights = weights[ia] * ws[ib]
-            if len(common) == 0:
-                break
-        return common.astype(np.int64), weights
+                hulls.append([a, vlo, vhi, [b]])
+        member = np.ones(count, dtype=bool)
+        primes = {}  # form -> the (support, weights) of its hull
+        for a, vlo, vhi, offsets in hulls:
+            sieved = _lambda_window(vlo, vhi)
+            marked = np.zeros(vhi - vlo + 1, dtype=bool)
+            marked[sieved[0] - vlo] = True
+            for b in offsets:
+                start = a * n0 + b - vlo
+                member &= marked[start : start + a * (count - 1) + 1 : a]
+                primes[a, b] = sieved
+        ns = np.flatnonzero(member) + n0
+        weights = None
+        for a, b in forms:
+            support, wts = primes[a, b]
+            w = wts[np.searchsorted(support, a * ns + b)]
+            weights = w if weights is None else weights * w
+        return ns, weights
 
     def P(self, a):
         return P_of(a, self.tuple)
@@ -346,7 +377,7 @@ class SievedWindow:
         if len(self.support):
             if self.support[0] < self.lo or self.support[-1] > self.hi:
                 raise DomainError("support outside window")
-            if np.any(np.diff(self.support) <= 0):
+            if (self.support[1:] <= self.support[:-1]).any():
                 raise DomainError("support not strictly increasing")
             if np.any(self.weights <= 0):
                 raise DomainError("nonpositive weight on support")
@@ -488,8 +519,8 @@ def dense_weights(window: SievedWindow, size: int | None = None) -> np.ndarray:
     if dtype.kind in "iu":
         dtype = np.min_scalar_type(int(window.weights.max(initial=0)))
     out = np.zeros(size + 1, dtype=dtype)
-    keep = window.support <= size
-    out[window.support[keep]] = window.weights[keep]
+    end = np.searchsorted(window.support, size, side="right")
+    out[window.support[:end]] = window.weights[:end]
     return out
 
 
@@ -527,16 +558,26 @@ def check_Ad_identity(
 
 
 def save_window(window: SievedWindow, path: str):
-    """Little-endian binary cache: header + sorted 64-bit records."""
+    """Little-endian binary cache: header + sorted 64-bit records.
+
+    The file is written next to path under a temporary name and renamed onto
+    it, so an interrupted write leaves whatever was at path before."""
     label = window.kind_label.encode("utf-8")
     float_weights = window.weights.dtype != np.int64
     header = struct.pack(
         "<4sII", _CACHE_MAGIC, _CACHE_VERSION, len(label)
     ) + label + struct.pack("<qqQB", window.lo, window.hi, len(window.support), int(float_weights))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(window.support.astype("<i8").tobytes())
-        fh.write(window.weights.astype("<f8" if float_weights else "<i8").tobytes())
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            window.support.astype("<i8", copy=False).tofile(fh)
+            window.weights.astype("<f8" if float_weights else "<i8", copy=False).tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_window(path: str) -> SievedWindow:
@@ -564,8 +605,7 @@ def load_window(path: str) -> SievedWindow:
             raise DomainError(
                 f"{path}: {size} bytes, but the header promises {header + 16 * count}"
             )
-        support = np.frombuffer(fh.read(8 * count), dtype="<i8").astype(np.int64)
-        dtype = "<f8" if float_weights else "<i8"
-        weights = np.frombuffer(fh.read(8 * count), dtype=dtype)
-        weights = weights.astype(np.float64 if float_weights else np.int64)
+        support = np.fromfile(fh, "<i8", count).astype(np.int64, copy=False)
+        weights = np.fromfile(fh, "<f8" if float_weights else "<i8", count)
+        weights = weights.astype(np.float64 if float_weights else np.int64, copy=False)
     return SievedWindow(label, lo, hi, support, weights)

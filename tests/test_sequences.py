@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -78,6 +79,105 @@ def test_lambda_window_same_bytes_as_spf_reference(monkeypatch):
     for H, window in zip(tuples, got):
         assert len(window[0]) > 100
         assert same_bytes(window, sq.KTupleWeight(H).window(1, 10**5)), H.label()
+
+
+def two_squares_by_counts(lo, hi):
+    """SumTwoSquares.window as the nonzero representation counts of x^2 + y^2,
+    the route it had before the boolean marks."""
+    support = np.flatnonzero(sq._form_counts(X2Y2, lo, hi)) + lo
+    return support, np.ones(len(support), dtype=np.int64)
+
+
+def ktuple_by_intersection(H, lo, hi):
+    """KTupleWeight.window with one prime window per form, intersected form by
+    form, the route it had before the shared sieves; it checks each form's
+    range just before that form's sieve and stops at an empty intersection."""
+    common = weights = None
+    for a, b in H.forms:
+        vlo, vhi = a * lo + b, a * hi + b
+        if vhi < 2:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if vhi > sq.MAX_TABLE_LIMIT or vhi - max(vlo, 2) + 1 > sq.MAX_WINDOW:
+            raise ResourceError(f"form {a}n+{b} needs values up to {vhi}; shrink the window")
+        vsup, vwts = sq._lambda_window(max(vlo, 2), vhi)
+        keep = (vsup - b) % a == 0
+        ns = (vsup[keep] - b) // a
+        inside = ns >= lo
+        ns, ws = ns[inside], vwts[keep][inside]
+        if common is None:
+            common, weights = ns, ws
+        else:
+            common, ia, ib = np.intersect1d(common, ns, assume_unique=True, return_indices=True)
+            weights = weights[ia] * ws[ib]
+        if len(common) == 0:
+            break
+    return common.astype(np.int64), weights
+
+
+BYTE_WINDOWS = [(1, 1), (2, 3), (1, 10), (17, 54321), (999, 1000), (1, 2 * 10**6),
+                (10**8, 10**8 + 10**5)]
+BYTE_TUPLES = [TWIN, KTuple(((1, 0), (1, 2), (1, 6))), KTuple(((2, 1), (1, 4))),
+               KTuple(((1, 0), (2, 1))), KTuple(((3, 2), (5, 4), (1, 0))),
+               # values below 2 at the window's start; one coefficient, two hulls
+               KTuple(((1, -1), (1, 1))), KTuple(((1, 0), (1, 100)))]
+
+
+def test_two_squares_window_same_bytes_as_counts():
+    for lo, hi in BYTE_WINDOWS:
+        got = sq.SumTwoSquares().window(lo, hi)
+        assert same_bytes(got, two_squares_by_counts(lo, hi)), (lo, hi)
+
+
+def test_ktuple_window_same_bytes_as_intersection():
+    for H in BYTE_TUPLES:
+        for lo, hi in BYTE_WINDOWS:
+            got = sq.KTupleWeight(H).window(lo, hi)
+            assert same_bytes(got, ktuple_by_intersection(H, lo, hi)), (H.label(), lo, hi)
+            assert len(got[0]) or hi - lo < 10**4
+
+
+def test_ktuple_forms_share_a_sieve_only_where_their_ranges_overlap(monkeypatch):
+    # twin shares one sieve of [2, 902]; (1,0;1,100) on [1, 10] has disjoint
+    # ranges, and (1,0;1,200) on [1, 900] would need a hull wider than MAX_WINDOW
+    monkeypatch.setattr(sq, "MAX_WINDOW", 1000)
+    cases = [(TWIN, 1, 900), (KTuple(((1, 0), (1, 100))), 1, 10), (KTuple(((1, 0), (1, 200))), 1, 900)]
+    want = [ktuple_by_intersection(H, lo, hi) for H, lo, hi in cases]
+    widths = []
+    real = sq._lambda_window
+
+    def recorded(lo, hi):
+        widths.append(hi - lo + 1)
+        return real(lo, hi)
+
+    monkeypatch.setattr(sq, "_lambda_window", recorded)
+    for (H, lo, hi), window in zip(cases, want):
+        assert same_bytes(sq.KTupleWeight(H).window(lo, hi), window), H.label()
+    assert widths == [901, 9, 9, 899, 899]
+
+
+def test_ktuple_refusals_come_before_any_sieve(monkeypatch):
+    cases = [
+        (KTuple(((2, 1), (1, 4))), 1, 3 * 10**7 + 1),  # the first form is too wide
+        (KTuple(((3, 2), (5, 4), (1, 0))), 2 * 10**8 - 100, 2 * 10**8),  # 5n+4 passes 1e9
+        (KTuple(((1, 0), (2, 1))), 5 * 10**8 - 1000, 5 * 10**8),  # 2n+1 passes 1e9
+    ]
+    messages = []
+    for H, lo, hi in cases:
+        with pytest.raises(ResourceError) as want:
+            ktuple_by_intersection(H, lo, hi)
+        messages.append(str(want.value))
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(sq, "_lambda_window", no_sieve)
+    for (H, lo, hi), message in zip(cases, messages):
+        with pytest.raises(ResourceError) as got:
+            sq.KTupleWeight(H).window(lo, hi)
+        assert str(got.value) == message
+    # a form whose values all lie below 2 empties the window before any sieve
+    empty = sq.KTupleWeight(KTuple(((1, -1), (1, 1)))).window(1, 1)
+    assert same_bytes(empty, (np.empty(0, np.int64), np.empty(0, np.float64)))
 
 
 def test_quadform_weights():
@@ -323,3 +423,76 @@ def test_cache_rejects_garbage(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(DomainError):
             sq.load_window(str(path))
+
+
+def save_window_by_tobytes(window, path):
+    """save_window as a header from struct and the records from tobytes copies,
+    the writer it had before writing the arrays in place."""
+    label = window.kind_label.encode("utf-8")
+    float_weights = window.weights.dtype != np.int64
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", b"DLSW", 1, len(label)) + label)
+        fh.write(struct.pack("<qqQB", window.lo, window.hi, len(window.support), int(float_weights)))
+        fh.write(window.support.astype("<i8").tobytes())
+        fh.write(window.weights.astype("<f8" if float_weights else "<i8").tobytes())
+
+
+def test_cache_same_bytes_as_tobytes_writer(tmp_path):
+    windows = [sq.sieve(sq.SumTwoSquares(), 17, 54321), sq.sieve(sq.PrimesLambda(), 1, 10**5),
+               sq.sieve(sq.KTupleWeight(TWIN), 999, 1000)]  # int64, float64, empty
+    for w in windows:
+        got, want = tmp_path / "got.bin", tmp_path / "want.bin"
+        sq.save_window(w, str(got))
+        save_window_by_tobytes(w, str(want))
+        assert got.read_bytes() == want.read_bytes(), w.kind_label
+        back = sq.load_window(str(got))
+        assert same_bytes((back.support, back.weights), (w.support, w.weights))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.bin", "want.bin"]
+
+
+class _FailingWrite(np.ndarray):
+    """Weights whose write raises, after the header and support are out."""
+
+    def tofile(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    tobytes = tofile
+
+
+def test_save_window_interrupted_keeps_the_earlier_cache(tmp_path):
+    path = tmp_path / "two_squares.sieve"
+    sq.save_window(sq.sieve(sq.SumTwoSquares(), 1, 1000), str(path))
+    before = path.read_bytes()
+    w = sq.sieve(sq.PrimesLambda(), 1, 10**4)
+    failing = sq.SievedWindow(w.kind_label, 1, 10**4, w.support, w.weights.view(_FailingWrite))
+    with pytest.raises(OSError, match="disk full"):
+        sq.save_window(failing, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_dense_weights_prefix_matches_mask():
+    w = sq.sieve(sq.SumTwoSquares(), 17, 54321)
+    lam = sq.sieve(sq.PrimesLambda(), 17, 54321)
+    for window in (w, lam):
+        at = int(window.support[100])
+        for size in (10, 17, 22, 1000, at, at + 1, window.hi - 1, window.hi, window.hi + 5):
+            keep = window.support <= size
+            want = np.zeros(size + 1, dtype=sq.dense_weights(window).dtype)
+            want[window.support[keep]] = window.weights[keep]
+            assert same_bytes([sq.dense_weights(window, size)], [want]), size
+    # 22 lies between the support points 20 and 25 of two_squares
+    assert list(w.support[2:4]) == [20, 25]
+
+
+def test_sieved_window_refuses_bad_support_and_weights():
+    ok = np.array([2, 3, 5]), np.array([1, 1, 1])
+    sq.SievedWindow("ok", 1, 10, *ok)
+    for support, weights in (
+        (np.array([2, 3, 3]), ok[1]),  # repeated
+        (np.array([2, 5, 3]), ok[1]),  # decreasing
+        (ok[0], np.array([1, 0, 1])),  # a zero weight
+        (ok[0], np.array([1.0, -0.5, 1.0])),
+    ):
+        with pytest.raises(DomainError):
+            sq.SievedWindow("bad", 1, 10, support, weights)
