@@ -56,18 +56,23 @@ def spf_window(lo: int, hi: int) -> np.ndarray:
 def prime_window(lo: int, hi: int) -> np.ndarray:
     """The primes in [lo, hi], lo >= 2, ascending as int64 (empty if hi < lo).
 
-    One bool per integer marks the composites: each prime p <= isqrt(hi),
-    itself sieved here, strikes its multiples from max(p*p, the first
-    multiple of p >= lo).
+    One bool per odd integer marks the composites: each odd prime
+    p <= isqrt(hi), itself sieved here, strikes its odd multiples from
+    max(p*p, the first odd multiple of p >= lo), which sit p bools apart.
+    The prime 2 is added on its own.
     """
     if lo < 2:
         raise OutOfRangeError(f"prime window needs lo >= 2, got {lo}")
-    composite = np.zeros(max(hi - lo + 1, 0), dtype=bool)
-    sieving = prime_window(2, math.isqrt(hi)).tolist() if hi >= 4 else []
+    first = lo | 1  # the first odd integer >= lo, 2 * i + first at bool i
+    composite = np.zeros(max((hi - first) // 2 + 1, 0), dtype=bool)
+    sieving = prime_window(3, math.isqrt(hi)).tolist() if hi >= 9 else []
     for p in sieving:
-        start = max(p * p, -(-lo // p) * p)
-        composite[start - lo :: p] = True
-    return np.flatnonzero(~composite) + lo
+        start = max(p * p, -(-first // p) * p)
+        if start % 2 == 0:
+            start += p
+        composite[(start - first) // 2 :: p] = True
+    odd = np.flatnonzero(~composite) * 2 + first
+    return np.concatenate([np.array([2], dtype=np.int64), odd]) if lo == 2 <= hi else odd
 
 
 def iter_primes(limit: int) -> list[int]:

@@ -18,6 +18,7 @@ fsum in order.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import hashlib
 import io
@@ -45,6 +46,7 @@ _TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
 _TAIL_MAX_BLOCKS = 2**20  # about 1.1e12 moduli: some 7 hours on 2 cores
 _TAIL_IN_FLIGHT = 4  # tail blocks per worker submitted and not yet reduced
 _CHUNKS_PER_THREAD = 4  # q-ranges per thread of empirical_average's pool
+_SEGMENT = 2**22  # integers per dense segment of an empirical average: 32 MB of float weights
 _TILE_POWERS = ((2, 4), (3, 2), (5, 1), (7, 1))  # p and the cap of p^e in the cofactor tile
 _TILE_PERIOD = math.prod(p**k for p, k in _TILE_POWERS)  # 5040
 _LEFTOVER_CHUNK = 2**16  # moduli per pass of the sieve's leftover; its arrays stay in L2
@@ -337,46 +339,78 @@ def prediction_refusal(cfg: ExperimentConfig) -> Optional[str]:
     return None
 
 
-def _slice_sums(w: np.ndarray, a: int, lo: int, hi: int, keep: np.ndarray) -> np.ndarray:
-    """For each q in [lo, hi] with keep[q - lo], in q-order: the sum of w[n]
-    over 1 <= n <= x = len(w) - 1 with n = a mod q, in int64 for integer w
-    of any width and in float64 otherwise.
+def _slice_sums(
+    window: sq.SievedWindow, x: int, a: int, lo: int, hi: int, keep: np.ndarray, threads: int = 1
+) -> np.ndarray:
+    """For each q in [lo, hi] with keep[q - lo], in q-order: the sum of the
+    window's weights over 1 <= n <= x with n = a mod q, in int64 for integer
+    weights and in float64 otherwise.
 
-    A modulus q <= Q0 = max(isqrt(x), |a|) sums its own strided slice.  Above
-    Q0 the terms are n = a + rq, grouped by the cofactor r >= 1 (and n = a
-    once, for a > 0): each r adds one strided slice into a per-q accumulator,
-    so about 2 sqrt(x) numpy calls replace one per modulus.  Each sum is
-    formed in a fixed order, r ascending, so it does not depend on [lo, hi].
-    The slices come from _cofactor_slices, which verify.divisor_switch_check
-    holds to a per-modulus gather of the same terms.
+    [1, x] is taken in segments of _SEGMENT integers, upward in n, each
+    filled by sequences.dense_weights into one reused buffer.  Each segment
+    adds its terms into a per-q accumulator (_segment_sums); threads > 1
+    hands one pool _CHUNKS_PER_THREAD contiguous ranges of moduli per
+    thread, mapped over every segment in turn.  A modulus above Q0 adds its
+    terms r-ascending, the order of one dense pass, so its sum has the same
+    bits at any segment size; a float sum at q <= Q0 is the in-order sum of
+    its segments' numpy sums.  No sum depends on [lo, hi] or the thread
+    count.
     """
-    x = len(w) - 1
+    dtype = np.int64 if window.weights.dtype.kind in "iu" else np.float64
+    acc = np.zeros(max(hi - lo + 1, 0), dtype=dtype)
+    if hi < lo:
+        return acc
     q0 = max(math.isqrt(x), abs(a))
-    dtype = np.int64 if w.dtype.kind in "iu" else np.float64
-    small = [
-        w[a % q or q :: q].sum(dtype=dtype) for q in range(lo, min(hi, q0) + 1) if keep[q - lo]
-    ]
-    sums = np.array(small, dtype=dtype)
+    several = threads > 1 and hi - lo >= 1024
+    bounds = _chunks(lo, hi, _CHUNKS_PER_THREAD * threads) if several else [(lo, hi)]
+    seg = None
+    with ThreadPoolExecutor(max_workers=threads) if several else contextlib.nullcontext() as pool:
+        for n0 in range(1, x + 1, _SEGMENT):
+            seg = sq.dense_weights(window, min(n0 + _SEGMENT - 1, x), lo=n0, out=seg)
+
+            def part(b: tuple[int, int]) -> None:
+                i, j = b[0] - lo, b[1] - lo + 1
+                _segment_sums(acc[i:j], seg, n0, a, q0, b[0], b[1], keep[i:j])
+
+            list(pool.map(part, bounds) if pool else map(part, bounds))
+    return acc[keep]
+
+
+def _segment_sums(
+    acc: np.ndarray, seg: np.ndarray, n0: int, a: int, q0: int, lo: int, hi: int, keep: np.ndarray
+) -> None:
+    """acc[q - lo] += the terms seg[n - n0], n = a mod q, of the segment
+    [n0, n0 + len(seg)), n0 >= 1, for each q in [lo, hi] (q <= q0 only where
+    keep[q - lo]).
+
+    A modulus q <= Q0 = max(isqrt(x), |a|) sums its own strided slice, one
+    indexed add for them all.  Above Q0 the terms are n = a + rq, grouped by
+    the cofactor r >= 1 (and n = a once, for a > 0, in its segment): each r
+    adds one strided view, from _cofactor_slices, into a q-range of acc, so
+    about 2 sqrt(x) numpy calls replace one per modulus.
+    """
+    small = [q for q in range(lo, min(hi, q0) + 1) if keep[q - lo]]
+    if small:
+        parts = [seg[(a - n0) % q :: q].sum(dtype=acc.dtype) for q in small]
+        acc[np.array(small) - lo] += parts
     big_lo = max(lo, q0 + 1)
     if big_lo > hi:
-        return sums
-    acc = np.zeros(hi - big_lo + 1, dtype=dtype)
-    if a > 0:
-        acc += w[a]
-    for s in _cofactor_slices(w, a, big_lo, hi):
-        acc[: len(s)] += s
-    return np.concatenate([sums, acc[keep[big_lo - lo :]]])
+        return
+    if n0 <= a < n0 + len(seg):
+        acc[big_lo - lo :] += seg[a - n0]
+    for q, s in _cofactor_slices(seg, n0, a, big_lo, hi):
+        acc[q - lo : q - lo + len(s)] += s
 
 
-def _cofactor_slices(w: np.ndarray, a: int, lo: int, hi: int):
-    """For r = 1, 2, ...: the terms w[a + r*q] over lo <= q <= hi with
-    a + r*q <= x = len(w) - 1, in q-order, as one strided view per r."""
-    x = len(w) - 1
-    r = 1
-    while a + r * lo <= x:
-        top = min(hi, (x - a) // r)
-        yield w[a + r * lo : a + r * top + 1 : r]
-        r += 1
+def _cofactor_slices(seg: np.ndarray, n0: int, a: int, lo: int, hi: int):
+    """For r = 1, 2, ...: the terms seg[a + r*q - n0] over lo <= q <= hi whose
+    n = a + r*q falls in the segment [n0, n0 + len(seg)), as (the first such
+    q, one strided view in q-order) per r with any."""
+    last = n0 + len(seg) - 1
+    for r in range(max(1, -(-(n0 - a) // hi)), (last - a) // lo + 1):
+        first, top = max(lo, -(-(n0 - a) // r)), min(hi, (last - a) // r)
+        if first <= top:
+            yield first, seg[a + r * first - n0 : a + r * top - n0 + 1 : r]
 
 
 def _dense_window(
@@ -415,11 +449,12 @@ def empirical_average(
 ) -> DiscrepancyReport:
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
 
-    The per-q counts come from _slice_sums, integer families in integers;
-    threads > 1 hands the pool _CHUNKS_PER_THREAD contiguous ranges of
-    moduli per thread, each taken by the next free worker.  Each count is
-    formed in a fixed order and the float terms are reduced with fsum's bits
-    (sequences.array_fsum), so the report is the same at every thread count.
+    The per-q counts come from _slice_sums, which sums the window one dense
+    segment at a time, integer families in integers; threads > 1 hands its
+    pool _CHUNKS_PER_THREAD contiguous ranges of moduli per thread, each
+    taken by the next free worker.  Each count is formed in a fixed order
+    and the float terms are reduced with fsum's bits (sequences.array_fsum),
+    so the report is the same at every thread count.
     """
     t0 = time.perf_counter()
     if cfg.kind.required_filter not in (None, cfg.coprime_filter):
@@ -427,31 +462,24 @@ def empirical_average(
             f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
         )
     window = _dense_window(cfg.kind, cfg.x, window)
-    w = sq.dense_weights(window, size=cfg.x)
     A_x = sq.count_A_upto(window, cfg.x)
     A_xf = float(A_x)
 
     q_lo, q_hi = cfg.q_range()
-    # a(a), read from the array the slice sums add, so the term removed is the one counted
-    pm = float(w[cfg.a]) if 0 < cfg.a <= cfg.x else 0.0
+    # a(a), read as the slice sums read it, from a dense array of the window
+    pm = float(sq.dense_weights(window, cfg.a, lo=cfg.a)[0]) if 0 < cfg.a <= cfg.x else 0.0
 
     if q_hi < q_lo:
         terms = np.empty(0)
     else:
         G = _term_array(cfg, q_lo, q_hi)
         mask = _filter_mask(cfg, q_lo, q_hi)
-
-        def part(bounds: tuple[int, int]) -> np.ndarray:
-            lo, hi = bounds
-            return _slice_sums(w, cfg.a, lo, hi, mask[lo - q_lo : hi - q_lo + 1])
-
-        if threads <= 1 or q_hi - q_lo < 1024:
-            sums = part((q_lo, q_hi))
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = _chunks(q_lo, q_hi, _CHUNKS_PER_THREAD * threads)
-                sums = np.concatenate(list(pool.map(part, chunks)))
-        terms = sums.astype(np.float64) - pm - G[mask] * A_xf
+        sums = _slice_sums(window, cfg.x, cfg.a, q_lo, q_hi, mask, threads)
+        # (sums - pm) - G A(x), formed in place
+        terms = sums.astype(np.float64, copy=False)
+        terms -= pm
+        G = G[mask]
+        terms -= np.multiply(G, A_xf, out=G)
     q_count = len(terms)
     empirical = sq.array_fsum(terms)
     norm = _normalizer(cfg, A_xf)

@@ -395,26 +395,27 @@ def _check_window(lo: int, hi: int):
 
 
 def _lambda_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support and log-prime weights of prime powers in [lo, hi]."""
+    """Support and log-prime weights of prime powers in [lo, hi].
+
+    The few higher powers (about 450 below 1e9) are merged into the primes
+    at their searchsorted places."""
     primes = prime_window(max(lo, 2), hi)
-    sup = [primes]
-    wts = [np.log(primes.astype(np.float64))]
-    extra_n, extra_w = [], []
+    weights = primes.astype(np.float64)
+    np.log(weights, out=weights)
+    powers = []
     for p in iter_primes(math.isqrt(hi)):
         pe = p * p
-        lp = math.log(p)
         while pe <= hi:
             if pe >= lo:
-                extra_n.append(pe)
-                extra_w.append(lp)
+                powers.append((pe, math.log(p)))
             pe *= p
-    if extra_n:
-        sup.append(np.array(extra_n, dtype=np.int64))
-        wts.append(np.array(extra_w, dtype=np.float64))
-    support = np.concatenate(sup)
-    weights = np.concatenate(wts)
-    order = np.argsort(support, kind="stable")
-    return support[order], weights[order]
+    if not powers:
+        return primes, weights
+    powers.sort()
+    extra_n = np.array([n for n, _ in powers], dtype=np.int64)
+    extra_w = np.array([lp for _, lp in powers], dtype=np.float64)
+    at = np.searchsorted(primes, extra_n)
+    return np.insert(primes, at, extra_n), np.insert(weights, at, extra_w)
 
 
 def _form_counts(form: BinaryQuadraticForm, lo: int, hi: int) -> np.ndarray:
@@ -464,19 +465,22 @@ def array_fsum(values: np.ndarray) -> float:
     if n == 0 or not np.isfinite(values).all():
         return math.fsum(values)
     # every |value| < 2^top, so sigma and every sum below stay under 2^1022
-    top = math.frexp(float(np.abs(values).max()))[1]
+    top = math.frexp(max(float(values.max()), -float(values.min())))[1]
     if top + n.bit_length() > 1022:
         return math.fsum(values)
     parts = []
+    # one buffer each for |p|, the parts q and the rest p - q, reused by every pass
+    magnitude, q_buf, rest = (np.empty(min(n, _FSUM_BLOCK)) for _ in range(3))
     for start in range(0, n, _FSUM_BLOCK):
         p = values[start : start + _FSUM_BLOCK]
-        m = len(p).bit_length()
-        while (high := float(np.abs(p).max())) > 0.0:
+        k = len(p)
+        m = k.bit_length()
+        while (high := float(np.abs(p, out=magnitude[:k]).max())) > 0.0:
             sigma = math.ldexp(1.0, math.frexp(high)[1] + m)
-            q = sigma + p
+            q = np.add(sigma, p, out=q_buf[:k])
             q -= sigma
             parts.append(float(q.sum()))
-            p = p - q
+            p = np.subtract(p, q, out=rest[:k])
     total = math.fsum(parts)
     return total if total != 0.0 else math.fsum(values)
 
@@ -507,20 +511,31 @@ def count_Aqa(window: SievedWindow, q: int, a: int) -> float | int:
     return _reduce(window.weights[window.support % q == a % q])
 
 
-def dense_weights(window: SievedWindow, size: int | None = None) -> np.ndarray:
-    """Dense array w with w[n] = weight(n), for strided slice sums.
+def dense_weights(
+    window: SievedWindow, size: int | None = None, lo: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Dense array w with w[n - lo] = weight(n) for lo <= n <= size, for
+    strided slice sums.
 
     Float weights stay float64.  Integer weights take the narrowest dtype
     that holds the largest, uint8 for an indicator, so a strided pass reads
-    fewer bytes; sum them in int64.
+    fewer bytes; sum them in int64.  Given out, an earlier result of the
+    same window at least as long, the array is its prefix, filled in place.
     """
     size = window.hi if size is None else size
     dtype = window.weights.dtype
     if dtype.kind in "iu":
         dtype = np.min_scalar_type(int(window.weights.max(initial=0)))
-    out = np.zeros(size + 1, dtype=dtype)
+    if out is None:
+        out = np.zeros(size - lo + 1, dtype=dtype)
+    elif out.dtype != dtype or len(out) < size - lo + 1:
+        raise ConfigurationError(f"buffer of {len(out)} {out.dtype} for [{lo}, {size}] in {dtype}")
+    else:
+        out = out[: size - lo + 1]
+        out[:] = 0
+    start = np.searchsorted(window.support, lo)
     end = np.searchsorted(window.support, size, side="right")
-    out[window.support[:end]] = window.weights[:end]
+    out[window.support[start:end] - lo] = window.weights[start:end]
     return out
 
 

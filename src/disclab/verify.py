@@ -211,9 +211,10 @@ def divisor_switch_check(
     The direct side gathers A*(x;q,a), the terms n = a + kq with k >= 1,
     modulus by modulus over x/M < q <= x - a.  The switched side is the
     cofactor slices harness._slice_sums adds, which group the same terms by
-    r.  Integer families sum in int64 over the narrow dense array; weighted
-    families compare fsum against fsum of the identical multiset, so
-    equality is still exact.
+    r, walked over segments of [1, x] that split it, as the production sums
+    walk theirs.  Integer families sum in int64 over the narrow dense array;
+    weighted families compare fsum against fsum of the identical multiset,
+    so equality is still exact.
     """
     if a <= 0:
         raise DomainError(f"the identity is stated for a > 0, got a={a}")
@@ -226,7 +227,13 @@ def divisor_switch_check(
     # k runs 1..K_q within each modulus's stretch of the gather
     k = np.arange(1, K.sum() + 1) - np.repeat(np.cumsum(K) - K, K)
     direct = w[a + np.repeat(q, K) * k]
-    switched = np.concatenate([w[:0], *hn._cofactor_slices(w, a, G + 1, x)])
+    size = x // 3 + 1  # three segments, the last one shorter
+    views = [
+        s
+        for n0 in range(1, x + 1, size)
+        for _, s in hn._cofactor_slices(w[n0 : n0 + size], n0, a, G + 1, x)
+    ]
+    switched = np.concatenate([w[:0], *views])
     d, s = sq._reduce(direct), sq._reduce(switched)
     return float(d), float(s), d == s
 

@@ -111,6 +111,18 @@ def test_prime_window_edges():
         fi.prime_window(1, 10)
 
 
+def test_prime_window_odd_index_edges():
+    # the bools index odd integers only, and 2 is added on its own: even and
+    # odd lo, and hi and lo on either side of a sieving prime's square
+    primes = plain_sieve(1009**2 + 1)
+    for p in (2, 3, 5, 7, 31, 1009):
+        square = p * p
+        for hi in (square - 1, square, square + 1):
+            for lo in {2, 3, 4, max(2, square - 1), square, square + 1}:
+                want = [n for n in primes if lo <= n <= hi]
+                assert fi.prime_window(lo, hi).tolist() == want, (lo, hi)
+
+
 def test_iter_primes_matches_plain_sieve():
     for limit in (0, 1, 2, 3, 4, 1000, 31623):
         got = fi.iter_primes(limit)

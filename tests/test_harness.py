@@ -179,7 +179,7 @@ def test_run_removes_the_term_it_counted():
         w = sq.dense_weights(win, size=x)
         lo, hi = cfg.q_range()
         keep = h._filter_mask(cfg, lo, hi)
-        sums = h._slice_sums(w, a, lo, hi, keep).astype(np.float64)
+        sums = h._slice_sums(win, x, a, lo, hi, keep).astype(np.float64)
         G = h._term_array(cfg, lo, hi)[keep]
         terms = sums - w[a] - G * float(sq.count_A_upto(win, x))
         report = h.empirical_average(cfg, window=win)
@@ -319,6 +319,11 @@ def _per_q_sums(w, a, lo, hi, keep):
     return np.array(sums, dtype=dtype)
 
 
+def _int64_dense(window, size=None, lo=0, out=None, dense_weights=sq.dense_weights):
+    """sequences.dense_weights copied to int64, a fresh array each call."""
+    return dense_weights(window, size, lo).astype(np.int64)
+
+
 def test_divisor_switched_sums_match_per_q_loop():
     # sqrt(x) = 141.5 and x/M = 4002, so a = 500 lies between them
     x, M = 20011, 5.0
@@ -340,14 +345,16 @@ def test_divisor_switched_sums_match_per_q_loop():
             cfg = h.ExperimentConfig(kind=kind, a=a, x=x, M=M, mode=mode, coprime_filter=filt)
             lo, hi = cfg.q_range()
             keep = h._filter_mask(cfg, lo, hi)
-            got = h._slice_sums(w, a, lo, hi, keep)
+            got = h._slice_sums(win, x, a, lo, hi, keep)
             want = _per_q_sums(w, a, lo, hi, keep)
             assert got.dtype == (np.int64 if kind.integer_weights else np.float64)
             assert len(got) == len(want) == keep.sum()
             if kind.integer_weights:
                 assert np.array_equal(got, want), (kind, a, mode, filt)
                 # the narrow dense array sums as its int64 copy does
-                wide = h._slice_sums(w.astype(np.int64), a, lo, hi, keep)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(sq, "dense_weights", _int64_dense)
+                    wide = h._slice_sums(win, x, a, lo, hi, keep)
                 assert np.array_equal(got, wide), (kind, a, mode, filt)
             else:
                 # weights are positive, so want is the summed magnitude
@@ -369,16 +376,89 @@ def test_divisor_switched_sums_match_per_q_loop():
                 magnitude = math.fsum(abs(t) for t in terms)
                 assert abs(reps[0].empirical_sum - math.fsum(terms)) <= 1e-12 * magnitude
     # an empty q-range, and a range in two pieces cut on either side of sqrt(x)
-    w = sq.dense_weights(sq.sieve(sq.PrimesLambda(), 1, x), size=x)
-    assert len(h._slice_sums(w, 1, 10, 9, np.ones(0, dtype=bool))) == 0
+    win = sq.sieve(sq.PrimesLambda(), 1, x)
+    assert len(h._slice_sums(win, x, 1, 10, 9, np.ones(0, dtype=bool))) == 0
     keep = np.ones(4002, dtype=bool)
-    whole = h._slice_sums(w, 1, 1, 4002, keep)
+    whole = h._slice_sums(win, x, 1, 1, 4002, keep)
     for cut in (100, 142, 143, 2000):
         parts = [
-            h._slice_sums(w, 1, 1, cut - 1, keep[: cut - 1]),
-            h._slice_sums(w, 1, cut, 4002, keep[cut - 1 :]),
+            h._slice_sums(win, x, 1, 1, cut - 1, keep[: cut - 1]),
+            h._slice_sums(win, x, 1, cut, 4002, keep[cut - 1 :]),
         ]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _dense_pass_sums(w, a, lo, hi):
+    """The sums above Q0 as one pass over the whole dense array forms them,
+    the route before segments: w[a] first, for a > 0, then one strided slice
+    per cofactor r, r ascending."""
+    x = len(w) - 1
+    big_lo = max(lo, max(math.isqrt(x), abs(a)) + 1)
+    acc = np.zeros(max(hi - big_lo + 1, 0), dtype=np.int64 if w.dtype.kind in "iu" else np.float64)
+    if big_lo > hi:
+        return acc
+    if a > 0:
+        acc += w[a]
+    r = 1
+    while a + r * big_lo <= x:
+        top = min(hi, (x - a) // r)
+        acc[: top - big_lo + 1] += w[a + r * big_lo : a + r * top + 1 : r]
+        r += 1
+    return acc
+
+
+@pytest.mark.parametrize("segment", [2503, 4099])
+def test_segmented_sums_match_the_dense_pass(monkeypatch, segment):
+    # 8 or 5 segments, neither dividing x, both shorter than the n-range of
+    # the cofactor r = 1; sqrt(x) = 141.5 and x/M = 4002, so a = 500 lies
+    # between them, and a = x + 3 puts every q below Q0
+    monkeypatch.setattr(h, "_SEGMENT", segment)
+    x, M = 20011, 5.0
+    both = ("none", "a")
+    cases = [
+        (sq.PrimesLambda(), both),
+        (sq.SumTwoSquares(), both),
+        (sq.KTupleWeight(kt.TWIN), ("P",)),
+        (sq.Rough(7), both),
+        (sq.QuadFormMult(BinaryQuadraticForm(1, 0, 1)), both),
+    ]
+    for kind, filters in cases:
+        win = sq.sieve(kind, 1, x)
+        w = sq.dense_weights(win, size=x)
+        for a, mode, filt in itertools.product(
+            (1, -1, 3, -4, 30, 500, x + 3), ("full", "dyadic"), filters
+        ):
+            case = (kind, a, mode, filt)
+            cfg = h.ExperimentConfig(kind=kind, a=a, x=x, M=M, mode=mode, coprime_filter=filt)
+            lo, hi = cfg.q_range()
+            keep = h._filter_mask(cfg, lo, hi)
+            got = h._slice_sums(win, x, a, lo, hi, keep)
+            want = _per_q_sums(w, a, lo, hi, keep)
+            if kind.integer_weights:
+                assert np.array_equal(got, want), case
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * want), case
+            # above Q0 each sum keeps the bits of the dense pass
+            big_lo = max(lo, max(math.isqrt(x), abs(a)) + 1)
+            above = _dense_pass_sums(w, a, lo, hi)[keep[big_lo - lo :]]
+            assert above.tobytes() == got[len(got) - len(above) :].tobytes(), case
+            cut = (lo + hi) // 2
+            parts = [
+                h._slice_sums(win, x, a, lo, cut, keep[: cut - lo + 1]),
+                h._slice_sums(win, x, a, cut + 1, hi, keep[cut - lo + 1 :]),
+            ]
+            assert np.concatenate(parts).tobytes() == got.tobytes(), case
+            # the pool's threads share the accumulator, each its own q-ranges;
+            # switching threads often would show a lost or misplaced add
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                reps = [h.empirical_average(cfg, window=win, threads=t) for t in (1, 2, 4)]
+            except DomainError:  # x^2 + y^2 has no density at even a
+                continue
+            finally:
+                sys.setswitchinterval(switch)
+            assert len({repr(dataclasses.replace(r, runtime_ms=0)) for r in reps}) == 1, case
 
 
 def test_slice_sums_hold_counts_past_the_dense_dtype():
@@ -392,7 +472,7 @@ def test_slice_sums_hold_counts_past_the_dense_dtype():
         cfg = h.ExperimentConfig(kind=kind, a=5, x=x, M=5.0)
         lo, hi = cfg.q_range()
         keep = np.ones(hi - lo + 1, dtype=bool)
-        got = h._slice_sums(w, 5, lo, hi, keep)
+        got = h._slice_sums(win, x, 5, lo, hi, keep)
         want = _per_q_sums(w, 5, lo, hi, keep)
         q0 = math.isqrt(x)
         assert w.dtype == np.uint8 and want[:q0].max() > 255 and want[q0:].max() > 255
@@ -439,14 +519,14 @@ def test_slice_sums_do_not_depend_on_the_cut():
     rng = np.random.default_rng(16)
     x = 2 * 10**5
     for kind in (sq.PrimesLambda(), sq.SumTwoSquares()):
-        w = sq.dense_weights(sq.sieve(kind, 1, x), size=x)
+        win = sq.sieve(kind, 1, x)
         for a, lo, hi in ((1, 1, 20000), (-4, 300, 9000), (500, 2, 40000)):
             keep = rng.random(hi - lo + 1) < 0.8
-            whole = h._slice_sums(w, a, lo, hi, keep)
+            whole = h._slice_sums(win, x, a, lo, hi, keep)
             for _ in range(3):
                 cuts = np.unique(rng.integers(lo + 1, hi + 1, size=int(rng.integers(1, 9))))
                 bounds = list(zip([lo, *cuts.tolist()], [*(cuts - 1).tolist(), hi]))
-                parts = [h._slice_sums(w, a, i, j, keep[i - lo : j - lo + 1]) for i, j in bounds]
+                parts = [h._slice_sums(win, x, a, i, j, keep[i - lo : j - lo + 1]) for i, j in bounds]
                 assert np.array_equal(np.concatenate(parts), whole), (kind, a, bounds)
 
 

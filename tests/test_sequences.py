@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from disclab.errors import DomainError, ResourceError, UnsupportedError
+from disclab.errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
 from disclab import sequences as sq
 from disclab.factorint import factors_of, iter_primes, spf_window
 from disclab.ktuples import TWIN, KTuple
@@ -79,6 +79,17 @@ def test_lambda_window_same_bytes_as_spf_reference(monkeypatch):
     for H, window in zip(tuples, got):
         assert len(window[0]) > 100
         assert same_bytes(window, sq.KTupleWeight(H).window(1, 10**5)), H.label()
+
+
+def test_lambda_window_edges_same_bytes_as_spf_reference():
+    # even and odd lo, and hi on either side of a square, where the prime
+    # powers merge into the odd-only prime window
+    for p in (2, 3, 7, 1009):
+        for hi in (p * p - 1, p * p, p * p + 1):
+            for lo in (1, 2, 3, 4):
+                if lo <= hi:
+                    got = sq._lambda_window(lo, hi)
+                    assert same_bytes(got, lambda_window_by_spf(lo, hi)), (lo, hi)
 
 
 def two_squares_by_counts(lo, hi):
@@ -483,6 +494,30 @@ def test_dense_weights_prefix_matches_mask():
             assert same_bytes([sq.dense_weights(window, size)], [want]), size
     # 22 lies between the support points 20 and 25 of two_squares
     assert list(w.support[2:4]) == [20, 25]
+
+
+def test_dense_weights_fills_a_sub_range_in_place():
+    # lo at, between and around support points, and a buffer reused from a
+    # longer fill: every fill is the whole array's [lo, size], in its dtype
+    w = sq.sieve(sq.SumTwoSquares(), 17, 54321)
+    lam = sq.sieve(sq.PrimesLambda(), 17, 54321)
+    for window in (w, lam):
+        whole = sq.dense_weights(window)
+        at = int(window.support[100])
+        buf = sq.dense_weights(window, 9999, lo=0)
+        bounds = [(0, 10), (17, 22), (20, 25), (21, 24), (at, at), (at + 1, at + 5000)]
+        bounds += [(at - 3, at + 9000), (window.hi - 9999, window.hi), (window.hi, window.hi + 5)]
+        for lo, size in bounds:
+            want = np.zeros(size - lo + 1, dtype=whole.dtype)
+            inside = whole[lo : size + 1]
+            want[: len(inside)] = inside
+            assert same_bytes([sq.dense_weights(window, size, lo=lo)], [want]), (lo, size)
+            got = sq.dense_weights(window, size, lo=lo, out=buf)
+            assert same_bytes([got], [want]) and np.shares_memory(got, buf), (lo, size)
+        with pytest.raises(ConfigurationError):
+            sq.dense_weights(window, 10**4, lo=0, out=buf)
+        with pytest.raises(ConfigurationError):
+            sq.dense_weights(window, 10, lo=0, out=buf.astype(np.int64))
 
 
 def test_sieved_window_refuses_bad_support_and_weights():
