@@ -7,18 +7,22 @@ grows (the difference does not vanish: for primes at a = +-1,
 M*S5 - mu_leading tends to -C5, and bias.predict_s5 gives the full expected
 value).  Large moduli are summed by their cofactor, the divisor switch;
 verify.divisor_switch_check holds those slices to the exact identity.
+Both read g_a(q) from one multiplicative-sieve kernel, which fills any
+window in pieces of _PIECE moduli with the same bits as one pass.
 Everything reduces floats in a fixed order so repeated runs are bit-identical,
 at every thread count: empirical_average hands its threads contiguous
 q-ranges of sums formed in a fixed order, and s5_sums sums its tail in fixed
-blocks of _TAIL_BLOCK moduli on a pool of one thread per core, from one
-LocalRatios table built before the pool starts, and reduces the blocks with
-fsum in order.
+blocks of _TAIL_BLOCK moduli, one piece each, on a pool of one thread per
+core, from one LocalRatios table built before the pool starts, and reduces
+the blocks with fsum in order.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -26,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -42,8 +47,21 @@ from .factorint import as_factored, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
 _BLOCK = 10**7  # widest window of g_range and ktuple_term_range
-_TAIL_BLOCK = 2**20  # moduli per block of the s5 tail, at every thread count
-_TAIL_MAX_BLOCKS = 2**20  # about 1.1e12 moduli: some 7 hours on 2 cores
+# moduli per piece of the multiplicative kernel, its unit of work: a piece's G
+# and D are 4 MB each, and an s5 tail worker holds one of each, so the
+# closed-forms bench's peak RSS fell 73.4 -> 57.2 MB from blocks of 2^20.
+# Nine 2^20 spans of the tail from q = 10001 (primes, one thread, 2-core Xeon)
+# took 274 ms (median) in pieces of 2^19, 276 in 2^20 and 283 in 2^18
+_PIECE = 2**19
+# primes above this have fewer than 128 multiples per piece, and all of their
+# powers go to one np.multiply.at per piece.  A tail of 16 * 2^20 moduli
+# ending at q = 1e9 took 592 ms (median) on 2 workers at this cut, 781 at 2^14
+# and 926 unbatched.  A cut of 2^10 took 531 ms there but reaches the bench's
+# tails (q <= 1e7), where alternated bench runs read run_s 0.255-0.267 s
+# against 0.225-0.244: multiply.at does not overlap across workers as strides do
+_BATCH_ABOVE = 2**12
+_TAIL_BLOCK = _PIECE  # moduli per block of the s5 tail, at every thread count
+_TAIL_MAX_BLOCKS = 2**21  # about 1.1e12 moduli: some 7 hours on 2 cores
 _TAIL_IN_FLIGHT = 4  # tail blocks per worker submitted and not yet reduced
 _CHUNKS_PER_THREAD = 4  # q-ranges per thread of empirical_average's pool
 _SEGMENT = 2**22  # integers per dense segment of an empirical average: 32 MB of float weights
@@ -137,9 +155,10 @@ def _check_window(lo: int, hi: int) -> None:
 
 def _cofactor_tile() -> np.ndarray:
     """tile[t] = the product of p^min(v_p(t), k) over (p, k) in
-    _TILE_POWERS, for t = 0 .. _TILE_PERIOD - 1: the small primes' part of
-    the strided cofactor of every q = t mod the period."""
-    tile = np.ones(_TILE_PERIOD, dtype=np.float64)
+    _TILE_POWERS, for t = 0 .. 2 * _TILE_PERIOD - 1: the small primes' part
+    of the strided cofactor of every q = t mod the period, over two periods,
+    so that one period starts at any offset."""
+    tile = np.ones(2 * _TILE_PERIOD, dtype=np.float64)
     for p, k in _TILE_POWERS:
         for j in range(1, k + 1):
             tile[:: p**j] *= p
@@ -149,8 +168,20 @@ def _cofactor_tile() -> np.ndarray:
 _TILE = _cofactor_tile()
 
 
-def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarray:
-    """Product of local factors of each q in [lo, hi], one float per q.
+def _buffer(buf: Optional[np.ndarray], n: int) -> np.ndarray:
+    """The first n floats of buf, or n fresh ones."""
+    if buf is None:
+        return np.empty(n)
+    if buf.dtype != np.float64 or buf.ndim != 1 or len(buf) < n:
+        raise ConfigurationError(f"buffer of {buf.shape} {buf.dtype} for {n} float64")
+    return buf[:n]
+
+
+def _multiplicative_sieve(
+    lo: int, hi: int, ratio, extra, leftover, out=None, scratch=None
+) -> np.ndarray:
+    """Product of local factors of each q in [lo, hi], one float per q,
+    written into out[: hi - lo + 1] when given.
 
     Every prime power p^e <= hi with p <= sqrt(hi), or p in extra, strides
     its multiples with ratio(p, e), the factor p^e adds over p^(e-1), and
@@ -160,22 +191,78 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
     out, the spent D, and may overwrite P; the entries at P = 1 are reset
     to 1 and the rest multiply in.
 
+    The window is filled in pieces of _PIECE moduli, each with the one
+    piece of D in scratch (or a fresh one).  Every piece takes the primes up
+    to sqrt(hi) of the whole window, so a modulus gets the same factors, in
+    the same order, whatever piece it falls in.
+
     The bits of G do not depend on how D and the leftover are laid out.
     D is a product of integers, each partial product a divisor of q below
     2^53, so it is exact in any order: once sqrt(hi) reaches the tile's
     primes, D starts from the periodic _TILE, which holds p^e for e up to
     each prime's cap, and only the higher powers stride D.  G takes every
-    ratio(p, e) by its own stride, p ascending and e ascending within p;
-    that order sets G's bits.  The leftover is elementwise, so it runs in
-    chunks of _LEFTOVER_CHUNK moduli that stay in cache.
+    ratio(p, e) p ascending and e ascending within p; that order sets G's
+    bits.  Primes up to _BATCH_ABOVE stride G one power at a time.  The
+    powers of the larger primes, which come after them, go to one
+    np.multiply.at per piece, their multiples concatenated in (p, e) order:
+    multiply.at applies repeated indices in index order, so each modulus
+    still takes its ratios p ascending and e ascending.  The leftover is
+    elementwise, so it runs in chunks of _LEFTOVER_CHUNK moduli that stay
+    in cache.
     """
     n = hi - lo + 1
-    G = np.ones(n, dtype=np.float64)
+    G = _buffer(out, n)
+    D = _buffer(scratch, min(n, _PIECE))
     root = math.isqrt(hi)
     caps = dict(_TILE_POWERS) if root >= _TILE_POWERS[-1][0] else {}
-    D = np.resize(np.roll(_TILE, -(lo % _TILE_PERIOD)), n) if caps else np.ones(n)
     above = (p for p in sorted(extra) if root < p <= hi)
-    for p in itertools.chain(iter_primes(root), above):
+    primes = list(itertools.chain(iter_primes(root), above))
+    cut = bisect.bisect_right(primes, _BATCH_ABOVE)
+    batch = _batched_powers(primes[cut:], lo, hi, ratio)
+    for c in range(0, n, _PIECE):
+        m = min(_PIECE, n - c)
+        _sieve_piece(G[c : c + m], D[:m], lo + c, primes[:cut], caps, ratio, batch, leftover)
+    return G
+
+
+def _batched_powers(primes: list[int], lo: int, hi: int, ratio):
+    """The powers p^e of primes with a multiple in [lo, hi], in (p, e)
+    order, as arrays of p^e, p and ratio(p, e); None for no primes."""
+    if not primes:
+        return None
+    base = pe = np.array(primes, dtype=np.int64)
+    bases, powers, exps, e = [], [], [], 1
+    while len(pe):
+        has = (lo + pe - 1) // pe * pe <= hi  # p^(e+1) has a multiple only where p^e has
+        bases.append(base[has])
+        powers.append(pe[has])
+        exps.append(np.full(int(has.sum()), e))
+        more = has & (base <= hi // pe)  # p^(e+1) <= hi, with no int64 overflow
+        base, pe, e = base[more], pe[more] * base[more], e + 1
+    p, pe, e = (np.concatenate(v) for v in (bases, powers, exps))
+    order = np.lexsort((e, p))
+    p, pe, e = p[order], pe[order], e[order]
+    r = np.array([ratio(pi, ei) for pi, ei in zip(p.tolist(), e.tolist())], dtype=np.float64)
+    return pe, p.astype(np.float64), r
+
+
+def _sieve_piece(G, D, lo: int, strided, caps, ratio, batch, leftover) -> None:
+    """_multiplicative_sieve over the piece [lo, lo + len(G)): G and D are
+    its slices, strided the primes up to _BATCH_ABOVE and batch the
+    _batched_powers of the rest."""
+    m = len(G)
+    hi = lo + m - 1
+    G.fill(1.0)
+    if caps:
+        k = min(m, _TILE_PERIOD)
+        D[:k] = _TILE[lo % _TILE_PERIOD :][:k]
+        while k < m:  # k stays a multiple of the period
+            step = min(k, m - k)
+            D[k : k + step] = D[:step]
+            k += step
+    else:
+        D.fill(1.0)
+    for p in strided:
         cap = caps.get(p, 0)
         pe, e = p, 1
         while pe <= hi:
@@ -187,8 +274,21 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
                 D[start - lo :: pe] *= p
             e += 1
             pe *= p
+    if batch is not None:
+        pe, p, r = batch
+        first = (-lo) % pe  # offset of each power's first multiple in the piece
+        hit = np.flatnonzero(first < m)
+        first, pe = first[hit], pe[hit]
+        counts = (m - 1 - first) // pe + 1
+        # idx lists each power's multiples in turn: offset + rank * p^e
+        idx = np.arange(int(counts.sum()))
+        idx -= np.repeat(np.cumsum(counts) - counts, counts)
+        idx *= np.repeat(pe, counts)
+        idx += np.repeat(first, counts)
+        np.multiply.at(G, idx, np.repeat(r[hit], counts))
+        np.multiply.at(D, idx, np.repeat(p[hit], counts))
     with np.errstate(divide="ignore", invalid="ignore"):  # P = 1 divides by zero
-        for c in range(0, n, _LEFTOVER_CHUNK):
+        for c in range(0, m, _LEFTOVER_CHUNK):
             d = D[c : c + _LEFTOVER_CHUNK]
             P = np.arange(lo + c, lo + c + len(d), dtype=np.float64)
             P /= d
@@ -196,7 +296,6 @@ def _multiplicative_sieve(lo: int, hi: int, ratio, extra, leftover) -> np.ndarra
             L = leftover(P, d)
             L[one] = 1.0
             G[c : c + len(d)] *= L
-    return G
 
 
 class LocalRatios:
@@ -209,6 +308,8 @@ class LocalRatios:
     Fraction arithmetic happens here; sieve only reads the table, so one
     table serves every block of a tail and every thread at once.
     """
+
+    G = D = None  # the buffers of a copy from with_buffers
 
     def __init__(self, model: mf.SequenceModel, a, lo: int, hi: int):
         afac = as_factored(a)
@@ -226,8 +327,19 @@ class LocalRatios:
             prev, pe, e = g, pe * p, e + 1
         return tuple(out)
 
-    def sieve(self, a, lo: int, hi: int) -> np.ndarray:
-        """g_a(q) for q in [lo, hi] within the table's range."""
+    def with_buffers(self, n: int) -> LocalRatios:
+        """A copy of the table, sharing its ratios, that owns a G of n
+        floats and one kernel piece of D.  Every sieve on the copy fills
+        them and returns a view of G, good until its next call: the
+        buffers of one s5 tail worker, reused block after block."""
+        mine = copy.copy(self)
+        mine.G, mine.D = np.empty(n), np.empty(min(n, _PIECE))
+        return mine
+
+    def sieve(self, a, lo: int, hi: int, out=None) -> np.ndarray:
+        """g_a(q) for q in [lo, hi] within the table's range: written into
+        out if given, else into the table's own G if it has one, else into
+        a fresh array."""
         if as_factored(a).value != self.a or lo < self.lo or hi > self.hi:
             raise DomainError(
                 f"table for a={self.a} on [{self.lo}, {self.hi}] used for a={a} on [{lo}, {hi}]"
@@ -240,10 +352,15 @@ class LocalRatios:
             return np.divide(out, P, out=out)
 
         ratios = self.ratios
-        return _multiplicative_sieve(lo, hi, lambda p, e: ratios[p][e - 1], self.extra, leftover)
+        out = self.G if out is None else out
+        return _multiplicative_sieve(
+            lo, hi, lambda p, e: ratios[p][e - 1], self.extra, leftover, out, self.D
+        )
 
 
-def g_range(model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int) -> np.ndarray:
+def g_range(
+    model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int, out=None
+) -> np.ndarray:
     """g_a(q) for q in [lo, hi], one float per q.
 
     Prime powers carry the exact local ratio; divisors of a and the model's
@@ -251,11 +368,14 @@ def g_range(model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int) -> np.nd
     leftover primes get the model's bulk h(p) rule, h_prime_vec.  model is
     a SequenceModel, whose table is built for [lo, hi] alone, or a
     LocalRatios table already built for a on a range that holds [lo, hi]
-    (s5_sums passes one per tail); the output is the same.
+    (s5_sums passes one per tail); the output is the same.  Given out, a
+    float64 array of at least hi - lo + 1, the result is its prefix, as is
+    a table's own G (LocalRatios.with_buffers); the values are those of a
+    fresh call.
     """
     _check_window(lo, hi)
     table = model if isinstance(model, LocalRatios) else LocalRatios(model, a, lo, hi)
-    return table.sieve(a, lo, hi)
+    return table.sieve(a, lo, hi, out)
 
 
 def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
@@ -518,14 +638,16 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     """S_R - S_M - S_tail where S_T smooths g_a(r)(1 - r/T) and the tail
     runs the unsmoothed sum over x/R < q <= x/M.  Direct summation throughout.
 
-    The tail is cut into fixed blocks of _TAIL_BLOCK moduli, which one
-    worker per core sums with one LocalRatios table built before they
-    start.  Blocks are submitted as the reduction reads them, at most
-    _TAIL_IN_FLIGHT per worker ahead, so memory does not grow with the
-    tail.  The block sums are reduced with fsum in block order, and the
-    blocks do not depend on the worker count, so S_tail has the same bits
-    on every machine.  A tail that reaches 2^53 or needs more than
-    _TAIL_MAX_BLOCKS blocks is refused before any table or block.
+    The tail is cut into fixed blocks of _TAIL_BLOCK moduli, one kernel
+    piece each, which one worker per core sums with one LocalRatios table
+    built before they start.  Each worker fills its own G and D, made once
+    per call (LocalRatios.with_buffers), block after block.  Blocks are
+    submitted as the reduction reads them, at most _TAIL_IN_FLIGHT per
+    worker ahead, so memory does not grow with the tail.  The block sums
+    are reduced with fsum in block order, and the blocks do not depend on
+    the worker count, so S_tail has the same bits on every machine.  A
+    tail that reaches 2^53 or needs more than _TAIL_MAX_BLOCKS blocks is
+    refused before any table or block.
     """
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
@@ -540,18 +662,19 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
         )
     Rn, Mn = int(R), int(M)
     GR = g_range(model, a, 1, Rn)
-    S_R = math.fsum(g * (1.0 - r / R) for r, g in enumerate(GR.tolist(), start=1))
-    S_M = math.fsum(
-        g * (1.0 - r / M) for r, g in enumerate(GR[:Mn].tolist(), start=1)
-    )
+    S_R = sq.array_fsum(GR * (1.0 - np.arange(1, Rn + 1) / R))
+    S_M = sq.array_fsum(GR[:Mn] * (1.0 - np.arange(1, Mn + 1) / M))
     starts = range(lo, hi + 1, _TAIL_BLOCK)
     S_tail = 0.0
     if starts:
         table = LocalRatios(model, a, lo, hi)
+        own = threading.local()  # a worker's copy of the table, with its buffers
 
         def block_sum(b: int) -> float:
+            if not hasattr(own, "table"):
+                own.table = table.with_buffers(_TAIL_BLOCK)
             # through g_range, so a wrapper of it (a tracer, a check) sees every block
-            return float(np.sum(g_range(table, a, b, min(b + _TAIL_BLOCK - 1, hi))))
+            return float(np.sum(g_range(own.table, a, b, min(b + _TAIL_BLOCK - 1, hi))))
 
         workers = min(os.cpu_count() or 1, len(starts))
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -12,6 +12,7 @@ counting helpers sum them over divisibility or residue conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -382,6 +383,16 @@ class SievedWindow:
             if np.any(self.weights <= 0):
                 raise DomainError("nonpositive weight on support")
 
+    @functools.cached_property
+    def dense_dtype(self) -> np.dtype:
+        """The dtype of the window's dense arrays (dense_weights): float64
+        for float weights, else the narrowest that holds the largest weight,
+        uint8 for an indicator.  Found on first use and kept, so the filled
+        segments of a report scan the weights once."""
+        if self.weights.dtype.kind in "iu":
+            return np.min_scalar_type(int(self.weights.max(initial=0)))
+        return self.weights.dtype
+
 
 def _check_window(lo: int, hi: int):
     if not (1 <= lo <= hi):
@@ -517,15 +528,14 @@ def dense_weights(
     """Dense array w with w[n - lo] = weight(n) for lo <= n <= size, for
     strided slice sums.
 
-    Float weights stay float64.  Integer weights take the narrowest dtype
-    that holds the largest, uint8 for an indicator, so a strided pass reads
-    fewer bytes; sum them in int64.  Given out, an earlier result of the
-    same window at least as long, the array is its prefix, filled in place.
+    The dtype is window.dense_dtype: float weights stay float64, and
+    integer weights take the narrowest dtype that holds the largest, so a
+    strided pass reads fewer bytes; sum them in int64.  Given out, an
+    earlier result of the same window at least as long, the array is its
+    prefix, filled in place.
     """
     size = window.hi if size is None else size
-    dtype = window.weights.dtype
-    if dtype.kind in "iu":
-        dtype = np.min_scalar_type(int(window.weights.max(initial=0)))
+    dtype = window.dense_dtype
     if out is None:
         out = np.zeros(size - lo + 1, dtype=dtype)
     elif out.dtype != dtype or len(out) < size - lo + 1:

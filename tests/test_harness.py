@@ -109,6 +109,14 @@ _ORACLE_WINDOWS = [
     (2**21 - 2000, 2**21 + 2000),
     # three leftover chunks and a partial fourth, from mid-period
     (10**8 + 17, 10**8 + 16 + 3 * 2**16 + 4321),
+    # three kernel pieces and a partial fourth, from mid-period, with the
+    # primes 4099 .. 5591 above the batch cut
+    (5952 * 5040 + 2521, 5952 * 5040 + 2520 + 3 * 2**19 + 4321),
+    # around 4099^2: the square of a batched prime has multiples
+    (4099**2 - 2000, 4099**2 + 2000),
+    # around 4099^2 * 4111, whose batched ratios differ in bits when taken
+    # e-major instead of p-major
+    (4099**2 * 4111 - 2000, 4099**2 * 4111 + 2000),
 ]
 
 
@@ -149,6 +157,26 @@ def test_ktuple_term_range_same_bits_as_integer_cofactor_oracle(lo, hi):
             lambda P: 1.0 / (P - H.k),
         )
         assert h.ktuple_term_range(H, lo, hi).tobytes() == want.tobytes(), H.label()
+
+
+def test_g_range_fills_a_given_buffer_with_the_bits_of_a_fresh_call():
+    # a window of two pieces with batched primes, then a shorter one into
+    # the same, now stale, buffers: given as out, and a table's own
+    model = mf.primes_model()
+    buf = np.full(2**21, np.nan)
+    for a, lo, hi in ((1, 10**9 - 2**20 + 1, 10**9), (3 * 1009, 2001, 4000)):
+        fresh = h.g_range(model, a, lo, hi)
+        got = h.g_range(model, a, lo, hi, out=buf)
+        assert got.base is buf and len(got) == hi - lo + 1
+        assert got.tobytes() == fresh.tobytes()
+        table = h.LocalRatios(model, a, lo, hi).with_buffers(2**20)
+        for _ in range(2):
+            got = h.g_range(table, a, lo, hi)
+            assert got.base is table.G and got.tobytes() == fresh.tobytes()
+    with pytest.raises(ConfigurationError):
+        h.g_range(model, 1, 1, 100, out=buf[:99])
+    with pytest.raises(ConfigurationError):
+        h.g_range(model, 1, 1, 100, out=np.empty(100, dtype=np.float32))
 
 
 def test_window_refused_at_the_float_cofactor_bound(monkeypatch):
@@ -634,7 +662,7 @@ def test_s5_tail_same_bits_at_every_thread_count(monkeypatch):
     # x/R < q <= x/M is three full blocks and a partial fourth; 60042 = 6 *
     # 10007 has a prime factor above sqrt(x/M), which only the table's extra
     # primes carry, and two_squares has the bad prime 2
-    M, R, x = 3.0, 100.0, 10**7
+    M, R, x = 5.0, 100.0, 10**7
     assert 3 * h._TAIL_BLOCK < x / M - x / R < 4 * h._TAIL_BLOCK
     cases = [
         (mf.primes_model(), 1),
@@ -658,7 +686,7 @@ def test_s5_tail_same_bits_at_every_thread_count(monkeypatch):
 
 
 def test_s5_tail_keeps_a_few_blocks_in_flight(monkeypatch):
-    # 953 tail blocks over 1e6 < q <= 1e9, each g_range a constant.  The
+    # 1906 tail blocks over 1e6 < q <= 1e9, each g_range a constant.  The
     # first block is held until no other block has started for 0.1 s: the
     # reduction cannot read past it, so only blocks already submitted run.
     M, R, x = 10.0, 1e4, 10**10
@@ -683,7 +711,7 @@ def test_s5_tail_keeps_a_few_blocks_in_flight(monkeypatch):
     monkeypatch.setattr(h.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(h, "g_range", constant_g_range)
     assert h.s5_sums(mf.primes_model(), 1, M, R, x).S_tail == hi - lo + 1
-    assert sorted(started) == starts and len(starts) == 953
+    assert sorted(started) == starts and len(starts) == 1906
     assert 2 <= held_with[0] <= 2 * h._TAIL_IN_FLIGHT, held_with
 
 
@@ -718,6 +746,18 @@ def test_s5_matches_fraction_oracle():
     assert s.S5 == pytest.approx(S_R - S_M - S_tail, rel=1e-9)
 
 
+def test_s5_smoothed_sums_match_the_generator_form():
+    # S_R and S_M as fsum over one generator term per r, bit for bit, at
+    # non-integer and integer M and R
+    model = mf.primes_model()
+    for a, M, R, x in ((1, 2.5, 999.5, 10**6), (3, 10, 1000, 10**6), (-1, 20.0, 1e4, 10**8)):
+        s = h.s5_sums(model, a, M, R, x)
+        G = h.g_range(model, a, 1, int(R)).tolist()
+        S_R = math.fsum(g * (1.0 - r / R) for r, g in enumerate(G, start=1))
+        S_M = math.fsum(g * (1.0 - r / M) for r, g in enumerate(G[: int(M)], start=1))
+        assert (s.S_R.hex(), s.S_M.hex()) == (S_R.hex(), S_M.hex()), (a, M, R)
+
+
 def test_s5_matches_primes_prediction():
     # residuals are O(M*R/x) <= 0.01; dropping C5 would shift the prediction
     # by 2.09, dropping the R term by 0.067 at M=100 and 0.67 at M=1000
@@ -737,8 +777,8 @@ def test_s5_range_validation():
 
 
 def test_s5_refuses_a_tail_past_its_bounds(monkeypatch, capsys):
-    # at x = 1e17 the tail reaches 2^53; at x = 1e14 it needs about 9.5e6
-    # blocks, past 2^20.  Both are refused before any table or block list.
+    # at x = 1e17 the tail reaches 2^53; at x = 1e14 it needs about 1.9e7
+    # blocks, past 2^21.  Both are refused before any table or block list.
     # The block bound is inclusive: 90000 moduli are 88 blocks of 2^10.
     monkeypatch.setattr(h, "_TAIL_BLOCK", 2**10)
     monkeypatch.setattr(h, "_TAIL_MAX_BLOCKS", 88)
