@@ -208,7 +208,7 @@ def _window_for(kind: sq.Family, x: int):
         path = _cache_path(kind, x, cache_dir)
         if os.path.exists(path):
             win = sq.load_window(path)
-            if win.kind_label == kind.label() and win.lo == 1 and win.hi >= x:
+            if win.kind_label == kind.label() and (win.lo, win.hi) == (1, x):
                 return win
     return sq.sieve(kind, 1, x)
 
@@ -223,6 +223,7 @@ def cmd_discrepancy(args) -> int:
         kind=kind, a=args.a, x=args.x, M=args.M,
         mode=args.mode, coprime_filter=args.coprime_filter,
     )
+    hn.check_run(cfg)  # a refused run costs no sieve and no cache load
     report = hn.empirical_average(cfg, window=_window_for(kind, args.x), threads=threads)
     print(f"q_count = {report.q_count}")
     print(f"empirical_sum = {_fmt(report.empirical_sum)}")

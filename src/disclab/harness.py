@@ -43,7 +43,7 @@ from . import bias
 from . import multfn as mf
 from . import sequences as sq
 from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
-from .factorint import as_factored, iter_primes, phi
+from .factorint import as_factored, divisors, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
 _BLOCK = 10**7  # widest window of g_range and ktuple_term_range
@@ -65,6 +65,7 @@ _TAIL_MAX_BLOCKS = 2**21  # about 1.1e12 moduli: some 7 hours on 2 cores
 _TAIL_IN_FLIGHT = 4  # tail blocks per worker submitted and not yet reduced
 _CHUNKS_PER_THREAD = 4  # q-ranges per thread of empirical_average's pool
 _SEGMENT = 2**22  # integers per dense segment of an empirical average: 32 MB of float weights
+_EVEN_PROBE = 2**12  # support points _plane probes for even points before its whole scan
 _TILE_POWERS = ((2, 4), (3, 2), (5, 1), (7, 1))  # p and the cap of p^e in the cofactor tile
 _TILE_PERIOD = math.prod(p**k for p, k in _TILE_POWERS)  # 5040
 _LEFTOVER_CHUNK = 2**16  # moduli per pass of the sieve's leftover; its arrays stay in L2
@@ -467,70 +468,181 @@ def _slice_sums(
     weights and in float64 otherwise.
 
     [1, x] is taken in segments of _SEGMENT integers, upward in n, each
-    filled by sequences.dense_weights into one reused buffer.  Each segment
-    adds its terms into a per-q accumulator (_segment_sums); threads > 1
-    hands one pool _CHUNKS_PER_THREAD contiguous ranges of moduli per
-    thread, mapped over every segment in turn.  A modulus above Q0 adds its
-    terms r-ascending, the order of one dense pass, so its sum has the same
-    bits at any segment size; a float sum at q <= Q0 is the in-order sum of
-    its segments' numpy sums.  No sum depends on [lo, hi] or the thread
-    count.
+    filled by sequences.dense_weights into one reused buffer: the whole
+    segment, or, for a window with at most x.bit_length() even points up
+    to x (primes, twin, rough(y >= 3): _plane), the plane of its odd n
+    only, half as long, with the few even points added term by term.  Each
+    segment adds its terms into a per-q accumulator (_segment_sums);
+    threads > 1 hands one pool _CHUNKS_PER_THREAD contiguous ranges of
+    moduli per thread, mapped over every segment in turn.  A modulus above
+    Q0 adds its terms r-ascending, an even point in its cofactor's turn,
+    the order of one dense pass, so its sum has the bits of that pass at
+    any segment size and either plane; a float sum at q <= Q0 is the
+    in-order sum of its segments' numpy sums and even points.  No sum
+    depends on [lo, hi] or the thread count.
     """
     dtype = np.int64 if window.weights.dtype.kind in "iu" else np.float64
     acc = np.zeros(max(hi - lo + 1, 0), dtype=dtype)
     if hi < lo:
         return acc
     q0 = max(math.isqrt(x), abs(a))
+    step, evens = _plane(window, x, a)
     several = threads > 1 and hi - lo >= 1024
     bounds = _chunks(lo, hi, _CHUNKS_PER_THREAD * threads) if several else [(lo, hi)]
-    seg = None
+    buf = None  # the first plane, the longest, refilled for every later segment
     with ThreadPoolExecutor(max_workers=threads) if several else contextlib.nullcontext() as pool:
         for n0 in range(1, x + 1, _SEGMENT):
-            seg = sq.dense_weights(window, min(n0 + _SEGMENT - 1, x), lo=n0, out=seg)
+            top = min(n0 + _SEGMENT - 1, x)
+            p0 = n0 + (1 - n0) % step  # the plane's first n, odd at step 2
+            plane = sq.dense_weights(window, top, lo=p0, out=buf, step=step)
+            buf = plane if buf is None else buf
+            points = [p for p in evens if n0 <= p[0] <= top]
 
             def part(b: tuple[int, int]) -> None:
                 i, j = b[0] - lo, b[1] - lo + 1
-                _segment_sums(acc[i:j], seg, n0, a, q0, b[0], b[1], keep[i:j])
+                _segment_sums(acc[i:j], plane, p0, step, a, q0, b[0], b[1], keep[i:j], points)
 
             list(pool.map(part, bounds) if pool else map(part, bounds))
     return acc[keep]
 
 
-def _segment_sums(
-    acc: np.ndarray, seg: np.ndarray, n0: int, a: int, q0: int, lo: int, hi: int, keep: np.ndarray
-) -> None:
-    """acc[q - lo] += the terms seg[n - n0], n = a mod q, of the segment
-    [n0, n0 + len(seg)), n0 >= 1, for each q in [lo, hi] (q <= q0 only where
-    keep[q - lo]).
+def _plane(window: sq.SievedWindow, x: int, a: int) -> tuple[int, list]:
+    """The step of the dense plane _slice_sums reads for a window over
+    [1, x], and the points that plane leaves out.
 
-    A modulus q <= Q0 = max(isqrt(x), |a|) sums its own strided slice, one
-    indexed add for them all.  Above Q0 the terms are n = a + rq, grouped by
-    the cofactor r >= 1 (and n = a once, for a > 0, in its segment): each r
-    adds one strided view, from _cofactor_slices, into a q-range of acc, so
-    about 2 sqrt(x) numpy calls replace one per modulus.
+    A window with at most x.bit_length() even points n <= x (primes: the
+    powers of 2; twin: n = 2; rough(y >= 3): none) is read from its odd n
+    only, step 2, and each even point comes back as (n, its weight as a
+    one-element array, the divisors of |n - a|, or () at n = a).  Any other
+    window is read whole, step 1, with no points left out."""
+    support = window.support[: np.searchsorted(window.support, x, side="right")]
+    # two_squares, the forms and rough(2) show their even points in the first
+    # few thousand; the plane's windows are scanned whole (1.3 ms for primes at 1e7)
+    for part in (support[:_EVEN_PROBE], support):
+        even = np.flatnonzero((part & 1) == 0)
+        if len(even) > x.bit_length():
+            return 1, []
+    return 2, [
+        (n, window.weights[i : i + 1], divisors(n - a) if n != a else ())
+        for i, n in zip(even.tolist(), support[even].tolist())
+    ]
+
+
+def _segment_sums(
+    acc: np.ndarray,
+    plane: np.ndarray,
+    n0: int,
+    s: int,
+    a: int,
+    q0: int,
+    lo: int,
+    hi: int,
+    keep: np.ndarray,
+    evens=(),
+) -> None:
+    """acc[q - lo] += the terms n = a mod q of the segment that starts at
+    n0 >= 1, for each q in [lo, hi] (q <= q0 only where keep[q - lo]): the
+    plane's n = n0 + s*j, plus the even points (_plane) of the segment,
+    when the plane's step s is 2.
+
+    A modulus q <= Q0 = max(isqrt(x), |a|) sums its own strided view of the
+    plane, the n = a mod lcm(q, s) that the plane holds, one indexed add
+    for them all, and then the even points at its multiples.  Above Q0 the
+    terms are n = a + rq, grouped by the cofactor r >= 1 (and n = a once,
+    for a > 0, in its segment): each r adds one strided view, from
+    _cofactor_slices, into a q-range of acc, so about 2 sqrt(x) numpy calls
+    replace one per modulus.
     """
-    small = [q for q in range(lo, min(hi, q0) + 1) if keep[q - lo]]
+    for n, w, _ in evens:
+        if n == a:  # a term of every modulus, the first of each above Q0
+            acc += w
+    d = a - n0
+    small_hi = min(hi, q0)
+    small = [q for q in range(lo, small_hi + 1) if keep[q - lo]]
     if small:
-        parts = [seg[(a - n0) % q :: q].sum(dtype=acc.dtype) for q in small]
+        parts = []
+        for q in small:
+            g = math.gcd(q, s)
+            m = q // g  # the view's stride, lcm(q, s) / s
+            if d % g:  # n = a mod q has the parity the plane leaves out
+                parts.append(0)
+            else:
+                parts.append(plane[d // g * pow(s // g, -1, m) % m :: m].sum(dtype=acc.dtype))
         acc[np.array(small) - lo] += parts
+        for n, w, divs in evens:
+            for q in divs[bisect.bisect_left(divs, lo) : bisect.bisect_right(divs, small_hi)]:
+                acc[q - lo] += w[0]
     big_lo = max(lo, q0 + 1)
     if big_lo > hi:
         return
-    if n0 <= a < n0 + len(seg):
-        acc[big_lo - lo :] += seg[a - n0]
-    for q, s in _cofactor_slices(seg, n0, a, big_lo, hi):
-        acc[q - lo : q - lo + len(s)] += s
+    if d >= 0 and d % s == 0 and d // s < len(plane):
+        acc[big_lo - lo :] += plane[d // s]
+    for q, step, v in _cofactor_slices(plane, n0, s, a, big_lo, hi, evens):
+        acc[q - lo : q - lo + step * len(v) : step] += v
 
 
-def _cofactor_slices(seg: np.ndarray, n0: int, a: int, lo: int, hi: int):
-    """For r = 1, 2, ...: the terms seg[a + r*q - n0] over lo <= q <= hi whose
-    n = a + r*q falls in the segment [n0, n0 + len(seg)), as (the first such
-    q, one strided view in q-order) per r with any."""
-    last = n0 + len(seg) - 1
+def _cofactor_slices(plane: np.ndarray, n0: int, s: int, a: int, lo: int, hi: int, evens=()):
+    """For r = 1, 2, ...: the terms n = a + r*q over lo <= q <= hi that the
+    plane holds, n = n0 + s*j with 0 <= j < len(plane), as (the first such
+    q, the step between their q, one strided view in q-order) per r with
+    any; and, in r's turn, each even point n = a + r*q of evens at its
+    moduli q in [lo, hi], as (q, 1, its weight).
+
+    At step s = 1 the plane holds every n of the segment and each r takes
+    every q in its range.  At s = 2 (odd n only) an odd r takes every
+    other q, a view of stride r into an acc stride of 2; an even r takes
+    every q, a view of stride r/2, when a is odd, and none when a is even.
+    """
+    last = n0 + s * (len(plane) - 1)
+    points = sorted(
+        ((n - a) // q, q, w)
+        for n, w, divs in evens
+        if n > a
+        for q in divs[bisect.bisect_left(divs, lo) : bisect.bisect_right(divs, hi)]
+    )
+    k = 0
     for r in range(max(1, -(-(n0 - a) // hi)), (last - a) // lo + 1):
+        while k < len(points) and points[k][0] < r:
+            _, q, w = points[k]
+            yield q, 1, w
+            k += 1
         first, top = max(lo, -(-(n0 - a) // r)), min(hi, (last - a) // r)
-        if first <= top:
-            yield first, seg[a + r * first - n0 : a + r * top - n0 + 1 : r]
+        step = s // math.gcd(r, s)
+        first += (a + r * first - n0) % step  # a step of 2 needs the plane's parity
+        i = a + r * first - n0
+        if first <= top and i % s == 0:
+            yield first, step, plane[i // s : (a + r * top - n0) // s + 1 : r * step // s]
+    for _, q, w in points[k:]:
+        yield q, 1, w
+
+
+def _check_budget(x: int) -> None:
+    if x > sq.MAX_WINDOW:
+        raise ResourceError(f"x={x} above dense-array budget {sq.MAX_WINDOW}")
+
+
+def check_run(cfg: ExperimentConfig) -> None:
+    """Refuse, before any window is sieved or loaded, a run empirical_average
+    would refuse: a filter the family does not take, an x above the
+    dense-array budget, and, for a q-range with any modulus, a shift at
+    which the model has no density (a quadratic form's at a prime of 2d
+    that divides a) or a 'P' filter whose base is 0.  The densities are
+    asked at e = 1 for each bad prime with a multiple in the q-range, the
+    first place g_range would raise."""
+    if cfg.kind.required_filter not in (None, cfg.coprime_filter):
+        raise UnsupportedError(
+            f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
+        )
+    _check_budget(cfg.x)
+    lo, hi = cfg.q_range()
+    if hi < lo:
+        return
+    model = cfg.kind.model()
+    for p in sorted(model.bad_primes) if model is not None else ():
+        if (lo + p - 1) // p * p <= hi:
+            mf.g_local(model, p, 1, cfg.a)
+    if _filter_base(cfg) == 0:
+        raise DomainError("P(a;H) = 0: the filter is undefined")
 
 
 def _dense_window(
@@ -539,8 +651,7 @@ def _dense_window(
     """The window a run over [1, x] sums: refused above the dense-array
     budget before any work, sieved when none is given, else checked to
     cover [1, x] for kind with kind's weight type."""
-    if x > sq.MAX_WINDOW:
-        raise ResourceError(f"x={x} above dense-array budget {sq.MAX_WINDOW}")
+    _check_budget(x)
     if window is None:
         return sq.sieve(kind, 1, x)
     if window.kind_label != kind.label() or window.lo != 1 or window.hi < x:
@@ -577,23 +688,21 @@ def empirical_average(
     so the report is the same at every thread count.
     """
     t0 = time.perf_counter()
-    if cfg.kind.required_filter not in (None, cfg.coprime_filter):
-        raise UnsupportedError(
-            f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
-        )
+    check_run(cfg)
+    q_lo, q_hi = cfg.q_range()
+    if q_hi >= q_lo:  # the densities first: a shift they refuse costs no window
+        G = _term_array(cfg, q_lo, q_hi)
+        mask = _filter_mask(cfg, q_lo, q_hi)
     window = _dense_window(cfg.kind, cfg.x, window)
     A_x = sq.count_A_upto(window, cfg.x)
     A_xf = float(A_x)
 
-    q_lo, q_hi = cfg.q_range()
     # a(a), read as the slice sums read it, from a dense array of the window
     pm = float(sq.dense_weights(window, cfg.a, lo=cfg.a)[0]) if 0 < cfg.a <= cfg.x else 0.0
 
     if q_hi < q_lo:
         terms = np.empty(0)
     else:
-        G = _term_array(cfg, q_lo, q_hi)
-        mask = _filter_mask(cfg, q_lo, q_hi)
         sums = _slice_sums(window, cfg.x, cfg.a, q_lo, q_hi, mask, threads)
         # (sums - pm) - G A(x), formed in place
         terms = sums.astype(np.float64, copy=False)

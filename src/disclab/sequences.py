@@ -125,7 +125,7 @@ class QuadFormMult(Family):
     def window(self, lo, hi):
         counts = _form_counts(self.form, lo, hi)
         idx = np.nonzero(counts)[0]
-        return idx + lo, counts[idx]
+        return idx + lo, counts[idx].astype(np.int64)
 
     def model(self):
         return mf.quadform_model(self.form)
@@ -430,9 +430,17 @@ def _lambda_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _form_counts(form: BinaryQuadraticForm, lo: int, hi: int) -> np.ndarray:
-    """Representation counts over x, y >= 0 for each n in [lo, hi]."""
+    """Representation counts over x, y >= 0 for each n in [lo, hi], in int32
+    (fewer than 2^31 pairs reach MAX_TABLE_LIMIT).
+
+    One np.add.at per row x, whose values climb the window in y.  Counts of
+    half the bytes of int64 took x^2 + y^2 on [1, 1e7] from 260-330 to
+    234-248 ms (alternated calls, one process); np.bincount over rows
+    batched to 2^20 values took 490 ms, as each batch's counts are as long
+    as the window."""
     alpha, beta, gamma = form.alpha, form.beta, form.gamma
-    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    counts = np.zeros(hi - lo + 1, dtype=np.int32)
+    one = np.int32(1)  # an increment of the counts' own dtype keeps add.at's fast loop
     # smallest eigenvalue of the Gram matrix bounds Q below by
     # lam * (x^2 + y^2), giving a finite x range
     lam = ((alpha + gamma) - math.sqrt((alpha - gamma) ** 2 + beta * beta)) / 2
@@ -448,7 +456,7 @@ def _form_counts(form: BinaryQuadraticForm, lo: int, hi: int) -> np.ndarray:
         ys = np.arange(0, ymax + 1, dtype=np.int64)
         vals = alpha * x * x + beta * x * ys + gamma * ys * ys
         good = vals[(vals >= lo) & (vals <= hi)]
-        np.add.at(counts, good - lo, 1)
+        np.add.at(counts, good - lo, one)
     return counts
 
 
@@ -523,10 +531,15 @@ def count_Aqa(window: SievedWindow, q: int, a: int) -> float | int:
 
 
 def dense_weights(
-    window: SievedWindow, size: int | None = None, lo: int = 0, out: np.ndarray | None = None
+    window: SievedWindow,
+    size: int | None = None,
+    lo: int = 0,
+    out: np.ndarray | None = None,
+    step: int = 1,
 ) -> np.ndarray:
-    """Dense array w with w[n - lo] = weight(n) for lo <= n <= size, for
-    strided slice sums.
+    """Dense array w with w[(n - lo) // step] = weight(n) for the n = lo mod
+    step in [lo, size], for strided slice sums: step 1 holds every n, step
+    2 the plane of those with lo's parity, half as long.
 
     The dtype is window.dense_dtype: float weights stay float64, and
     integer weights take the narrowest dtype that holds the largest, so a
@@ -536,16 +549,21 @@ def dense_weights(
     """
     size = window.hi if size is None else size
     dtype = window.dense_dtype
+    length = (size - lo) // step + 1
     if out is None:
-        out = np.zeros(size - lo + 1, dtype=dtype)
-    elif out.dtype != dtype or len(out) < size - lo + 1:
+        out = np.zeros(length, dtype=dtype)
+    elif out.dtype != dtype or len(out) < length:
         raise ConfigurationError(f"buffer of {len(out)} {out.dtype} for [{lo}, {size}] in {dtype}")
     else:
-        out = out[: size - lo + 1]
+        out = out[:length]
         out[:] = 0
     start = np.searchsorted(window.support, lo)
     end = np.searchsorted(window.support, size, side="right")
-    out[window.support[start:end] - lo] = window.weights[start:end]
+    at, weights = window.support[start:end] - lo, window.weights[start:end]
+    if step > 1:
+        on = at % step == 0
+        at, weights = at[on] // step, weights[on]
+    out[at] = weights
     return out
 
 

@@ -212,27 +212,33 @@ def divisor_switch_check(
     modulus by modulus over x/M < q <= x - a.  The switched side is the
     cofactor slices harness._slice_sums adds, which group the same terms by
     r, walked over segments of [1, x] that split it, as the production sums
-    walk theirs.  Integer families sum in int64 over the narrow dense array;
-    weighted families compare fsum against fsum of the identical multiset,
-    so equality is still exact.
+    walk theirs: from the odd-n plane and its even points where the
+    production sums read one (harness._plane), else from whole segments.
+    Integer families sum in int64 over the narrow dense array; weighted
+    families compare fsum against fsum of the identical multiset, so
+    equality is still exact.
     """
     if a <= 0:
         raise DomainError(f"the identity is stated for a > 0, got a={a}")
     if not (math.isfinite(M) and M > 0):
         raise DomainError(f"M must be finite and positive, got M={M}")
-    w = sq.dense_weights(hn._dense_window(kind, x, window), x)
+    window = hn._dense_window(kind, x, window)
+    w = sq.dense_weights(window, x)
     G = int(x / M)
     q = np.arange(G + 1, x - a + 1, dtype=np.int64)
     K = (x - a) // q
     # k runs 1..K_q within each modulus's stretch of the gather
     k = np.arange(1, K.sum() + 1) - np.repeat(np.cumsum(K) - K, K)
     direct = w[a + np.repeat(q, K) * k]
+    step, evens = hn._plane(window, x, a)
     size = x // 3 + 1  # three segments, the last one shorter
-    views = [
-        s
-        for n0 in range(1, x + 1, size)
-        for _, s in hn._cofactor_slices(w[n0 : n0 + size], n0, a, G + 1, x)
-    ]
+    views = []
+    for n0 in range(1, x + 1, size):
+        top = min(n0 + size - 1, x)
+        p0 = n0 + (1 - n0) % step
+        plane = sq.dense_weights(window, top, lo=p0, step=step)
+        points = [p for p in evens if n0 <= p[0] <= top]
+        views += [v for _, _, v in hn._cofactor_slices(plane, p0, step, a, G + 1, x, points)]
     switched = np.concatenate([w[:0], *views])
     d, s = sq._reduce(direct), sq._reduce(switched)
     return float(d), float(s), d == s

@@ -219,6 +219,52 @@ def test_sieve_cache_roundtrip(tmp_path, capsys, monkeypatch):
     assert pick(cached) == pick(fresh)
 
 
+def test_cached_window_must_end_at_x(tmp_path, capsys, monkeypatch):
+    # a [1, 2x] window saved under x's cache name is not read as x's: the run
+    # sieves [1, x] afresh and reports what a run without a cache reports
+    from disclab import sequences as sq
+
+    x = 2000
+    argv = ("discrepancy", "--kind", "two_squares", "--a", "5", "--x", str(x), "--M", "10",
+            "--mode", "dyadic")
+    code, fresh = run(capsys, *argv)
+    kind = sq.SumTwoSquares()
+    sq.save_window(sq.sieve(kind, 1, 2 * x), str(tmp_path / f"two_squares.x{x}.sieve"))
+    monkeypatch.setenv("DISCLAB_CACHE_DIR", str(tmp_path))
+    sieved = []
+    sieve = sq.sieve
+    monkeypatch.setattr(sq, "sieve", lambda *args: sieved.append(args[1:]) or sieve(*args))
+    code, cached = run(capsys, *argv)
+    assert code == 0 and sieved == [(1, x)]
+    pick = lambda text: [l for l in text.splitlines() if l.startswith(("empirical", "normalized"))]
+    assert pick(cached) == pick(fresh)
+    # a window that ends at x is read, and nothing is sieved
+    sq.save_window(sieve(kind, 1, x), str(tmp_path / f"two_squares.x{x}.sieve"))
+    code, cached = run(capsys, *argv)
+    assert code == 0 and sieved == [(1, x)]
+    assert pick(cached) == pick(fresh)
+
+
+def test_refused_shift_exits_2_before_any_window(tmp_path, capsys, monkeypatch):
+    # x^2 + y^2 has no density at even a, 2x^2 + xy + 3y^2 (d = -23) none at
+    # a = 23: both are refused with exit 2 before any sieve or cache load
+    from disclab import sequences as sq
+
+    def no_window(*args):
+        raise AssertionError("a window was sieved or loaded for a refused shift")
+
+    (tmp_path / "quadform_1_0_1.x1000.sieve").write_bytes(b"")
+    monkeypatch.setenv("DISCLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sq, "sieve", no_window)
+    monkeypatch.setattr(sq, "load_window", no_window)
+    for form, a in (("1,0,1", "2"), ("1,0,1", "-4"), ("2,1,3", "23")):
+        code = cli.main(["discrepancy", "--kind", "quadform", "--form", form, "--a", a,
+                         "--x", "1000", "--M", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and "shares the prime" in captured.err, (form, a)
+        assert "q_count" not in captured.out
+
+
 def test_s5_command(capsys):
     code, out = run(capsys, "s5", "--kind", "primes", "--a", "1", "--M", "20",
                     "--R", "100", "--x", "1000000")

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -347,9 +348,9 @@ def _per_q_sums(w, a, lo, hi, keep):
     return np.array(sums, dtype=dtype)
 
 
-def _int64_dense(window, size=None, lo=0, out=None, dense_weights=sq.dense_weights):
+def _int64_dense(window, size=None, lo=0, out=None, step=1, dense_weights=sq.dense_weights):
     """sequences.dense_weights copied to int64, a fresh array each call."""
-    return dense_weights(window, size, lo).astype(np.int64)
+    return dense_weights(window, size, lo, step=step).astype(np.int64)
 
 
 def test_divisor_switched_sums_match_per_q_loop():
@@ -489,6 +490,75 @@ def test_segmented_sums_match_the_dense_pass(monkeypatch, segment):
             assert len({repr(dataclasses.replace(r, runtime_ms=0)) for r in reps}) == 1, case
 
 
+def _plane_agrees(monkeypatch, win, x, a, lo, hi, case):
+    """_slice_sums from the window's plane against the per-q oracle, against
+    the dense pass above Q0, byte for byte, and against step 1, the whole
+    segments, under the same rules."""
+    keep = np.ones(hi - lo + 1, dtype=bool)
+    w = sq.dense_weights(win, size=x)
+    got = h._slice_sums(win, x, a, lo, hi, keep)
+    with monkeypatch.context() as mp:
+        mp.setattr(h, "_plane", lambda *args: (1, []))
+        whole = h._slice_sums(win, x, a, lo, hi, keep)
+    want = _per_q_sums(w, a, lo, hi, keep)
+    big = max(lo, max(math.isqrt(x), abs(a)) + 1) - lo
+    above = _dense_pass_sums(w, a, lo, hi).tobytes()
+    assert above == got[big:].tobytes() == whole[big:].tobytes(), case
+    if got.dtype == np.int64:
+        assert np.array_equal(got, want) and np.array_equal(whole, want), case
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * want), case
+        assert np.all(np.abs(got - whole) <= 1e-12 * want), case
+
+
+@pytest.mark.parametrize("segment", [2503, 4096])
+def test_odd_plane_sums_match_the_dense_pass(monkeypatch, segment):
+    # primes hold the 14 powers of 2 up to x = 20011 (bit_length 15) as their
+    # even points, twin n = 2 and rough(7) none; sqrt(x) = 141.5 and x/M = 4002.
+    # At even a an even modulus meets only powers of 2.  At a = 1 the powers
+    # 2^12 and 2^14 fall above Q0 (4095 = 3^2 5 7 13 and 16383 = 3 43 127 have
+    # divisors such as 195, 1365 and 381), each in its cofactor's turn; at
+    # a = -38 and -33 seven sums (q = 531, 689, 1043, 2067; 151, 1175, 1645)
+    # take other bits if their power of 2 comes after every other term
+    monkeypatch.setattr(h, "_SEGMENT", segment)
+    x, M = 20011, 5.0
+    cases = [
+        (sq.PrimesLambda(), (2, 4, -2, 1, -1, 30, 4096, -38, -33), 14),
+        (sq.KTupleWeight(kt.TWIN), (1, -3, 2, 4), 1),
+        (sq.Rough(7), (1, 2, -4, 35), 0),
+    ]
+    for kind, shifts, n_even in cases:
+        win = sq.sieve(kind, 1, x)
+        for a in shifts:
+            step, evens = h._plane(win, x, a)
+            assert step == 2 and len(evens) == n_even, (kind, a)
+            _plane_agrees(monkeypatch, win, x, a, 1, int(x / M), (kind, a, segment))
+            _plane_agrees(monkeypatch, win, x, a, 2000, int(x / M), (kind, a, segment))
+    rough = sq.sieve(sq.Rough(7), 1, x)
+    assert sq.dense_weights(rough, 100, lo=1, step=2).dtype == np.uint8
+
+
+def test_plane_takes_windows_with_at_most_bit_length_even_points(monkeypatch):
+    # the primes' 14 even points up to x = 20011, plus one (15 = bit_length)
+    # or two more: the first window is read from its plane, the second whole,
+    # and both agree with the oracles
+    monkeypatch.setattr(h, "_SEGMENT", 4099)
+    x = 20011
+    primes = sq.sieve(sq.PrimesLambda(), 1, x)
+    for extra, step in (((6,), 2), ((6, 10), 1)):
+        n = np.array(extra, dtype=np.int64)
+        at = np.searchsorted(primes.support, n)
+        win = sq.SievedWindow(
+            "primes", 1, x, np.insert(primes.support, at, n), np.insert(primes.weights, at, 0.5)
+        )
+        for a in (1, 2, -3, 6):
+            assert h._plane(win, x, a)[0] == step
+            _plane_agrees(monkeypatch, win, x, a, 1, 4002, (extra, a))
+    # even points past x do not count: 2^14 is left out at x = 10^4
+    step, evens = h._plane(primes, 10**4, 1)
+    assert step == 2 and [n for n, _, _ in evens] == [2**e for e in range(1, 14)]
+
+
 def test_slice_sums_hold_counts_past_the_dense_dtype():
     # the dense arrays are uint8 here; these classes hold more than 255
     # points both at q <= Q0, summed slice by slice, and above Q0, in the
@@ -590,6 +660,39 @@ def test_resource_guard(monkeypatch):
         h.empirical_average(h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=x, M=10.0))
     with pytest.raises(ResourceError):
         vf.divisor_switch_check(sq.PrimesLambda(), 3, x, 20.0)
+
+
+def test_refused_shift_costs_no_window(monkeypatch):
+    # check_run refuses what the term array refuses, with the same error,
+    # before any window: the forms at a prime of 2d dividing a (x^2 + 2y^2,
+    # d = 8 mod 16, at every a), and twin's P filter at a = -2
+    forms = [BinaryQuadraticForm(*abc) for abc in ((1, 0, 1), (2, 1, 3), (1, 0, 2))]
+    kinds = [sq.QuadFormMult(f) for f in forms] + [sq.KTupleWeight(kt.TWIN), sq.PrimesLambda()]
+    refused = 0
+    for kind, a, mode in itertools.product(kinds, range(-6, 50), ("full", "dyadic")):
+        if a == 0:
+            continue
+        filt = "P" if isinstance(kind, sq.KTupleWeight) else "none"
+        cfg = h.ExperimentConfig(kind=kind, a=a, x=1000, M=10.0, mode=mode, coprime_filter=filt)
+        lo, hi = cfg.q_range()
+        try:
+            h._term_array(cfg, lo, hi)
+            h._filter_mask(cfg, lo, hi)
+        except (DomainError, UnsupportedError) as exc:
+            refused += 1
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                h.check_run(cfg)
+        else:
+            h.check_run(cfg)
+    assert refused > 100
+
+    def no_sieve(*args):
+        raise AssertionError("sieved for a refused shift")
+
+    monkeypatch.setattr(sq, "sieve", no_sieve)
+    cfg = h.ExperimentConfig(kind=sq.QuadFormMult(forms[0]), a=6, x=1000, M=10.0)
+    with pytest.raises(DomainError, match="shares the prime 2"):
+        h.empirical_average(cfg)
 
 
 def test_window_must_cover_the_run():
@@ -842,9 +945,14 @@ def test_divisor_switch_checks_the_production_slices(monkeypatch):
         slices = list(real(*args))
         return slices + slices[1:2]
 
+    # primes are walked on their odd-n plane with the powers of 2 as even
+    # points, two_squares on whole segments
+    steps = {sq.SumTwoSquares(): 1, sq.PrimesLambda(): 2}
+    for kind, step in steps.items():
+        assert h._plane(sq.sieve(kind, 1, 10**4), 10**4, 3)[0] == step
     for fake in (dropped, repeated):
         monkeypatch.setattr(h, "_cofactor_slices", fake)
-        for kind in (sq.SumTwoSquares(), sq.PrimesLambda()):
+        for kind in steps:
             d, s, eq = vf.divisor_switch_check(kind, 3, 10**4, 20.0)
             assert not eq and d != s, (fake.__name__, kind)
 

@@ -520,6 +520,25 @@ def test_dense_weights_fills_a_sub_range_in_place():
             sq.dense_weights(window, 10, lo=0, out=buf.astype(np.int64))
 
 
+def test_dense_weights_fills_a_plane_at_step_2():
+    # step 2 holds the n of lo's parity, whatever it is: every other entry of
+    # the step-1 fill, in a fresh array or a reused buffer
+    w = sq.sieve(sq.SumTwoSquares(), 17, 54321)
+    lam = sq.sieve(sq.PrimesLambda(), 17, 54321)
+    for window in (w, lam):
+        at = int(window.support[100])
+        buf = sq.dense_weights(window, 9999, lo=0, step=2)
+        for lo, size in ((0, 10), (17, 22), (20, 25), (21, 24), (at, at), (at + 1, at + 5000),
+                         (at - 3, at + 9000), (window.hi - 9999, window.hi)):
+            want = sq.dense_weights(window, size, lo=lo)[::2]
+            assert same_bytes([sq.dense_weights(window, size, lo=lo, step=2)], [want]), (lo, size)
+            got = sq.dense_weights(window, size, lo=lo, out=buf, step=2)
+            assert same_bytes([got], [want]) and np.shares_memory(got, buf), (lo, size)
+        assert len(sq.dense_weights(window, 40, lo=41, step=2)) == 0
+        with pytest.raises(ConfigurationError):
+            sq.dense_weights(window, 2 * 10**4 + 2, lo=0, out=buf, step=2)
+
+
 def test_sieved_window_refuses_bad_support_and_weights():
     ok = np.array([2, 3, 5]), np.array([1, 1, 1])
     sq.SievedWindow("ok", 1, 10, *ok)
