@@ -1,4 +1,7 @@
-"""Exception types shared across disclab modules."""
+"""Exception types shared across disclab modules, and the integer check
+that their bounds share."""
+
+import numbers
 
 
 class DisclabError(Exception):
@@ -27,3 +30,11 @@ class ModelError(DisclabError):
 
 class ResourceError(DisclabError):
     """Resource budget exceeded."""
+
+
+def require_integers(**values) -> None:
+    """Refuse, with DomainError, any of the named values that is not an
+    integer (a Python or numpy integer): a float bound such as 1e4 or 1.5."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")

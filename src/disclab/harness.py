@@ -42,7 +42,9 @@ import numpy as np
 from . import bias
 from . import multfn as mf
 from . import sequences as sq
-from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
+from .errors import (
+    ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers
+)
 from .factorint import as_factored, divisors, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
@@ -84,10 +86,13 @@ class ExperimentConfig:
     coprime_filter: str = "none"
 
     def __post_init__(self):
+        require_integers(a=self.a, x=self.x)
+        for name in ("a", "x"):  # a numpy integer runs as an int: x.bit_length(), JSON export
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.a == 0:
             raise DomainError("a must be nonzero")
-        if not 1 <= self.x < math.inf:
-            raise DomainError(f"x must be finite and >= 1, got {self.x}")
+        if self.x < 1:
+            raise DomainError(f"x must be >= 1, got {self.x}")
         if not (math.isfinite(self.M) and self.M > 1):
             raise DomainError(f"M must be finite and > 1, got {self.M}")
         if self.mode not in _MODES:
@@ -146,6 +151,7 @@ class S5Sums(NamedTuple):
 
 
 def _check_window(lo: int, hi: int) -> None:
+    require_integers(lo=lo, hi=hi)
     if lo < 1 or hi < lo:
         raise DomainError(f"bad range [{lo}, {hi}]")
     if hi - lo + 1 > _BLOCK + 1:
@@ -337,10 +343,9 @@ class LocalRatios:
         mine.G, mine.D = np.empty(n), np.empty(min(n, _PIECE))
         return mine
 
-    def sieve(self, a, lo: int, hi: int, out=None) -> np.ndarray:
+    def sieve(self, a, lo: int, hi: int) -> np.ndarray:
         """g_a(q) for q in [lo, hi] within the table's range: written into
-        out if given, else into the table's own G if it has one, else into
-        a fresh array."""
+        the table's own G if it has one, else into a fresh array."""
         if as_factored(a).value != self.a or lo < self.lo or hi > self.hi:
             raise DomainError(
                 f"table for a={self.a} on [{self.lo}, {self.hi}] used for a={a} on [{lo}, {hi}]"
@@ -353,15 +358,12 @@ class LocalRatios:
             return np.divide(out, P, out=out)
 
         ratios = self.ratios
-        out = self.G if out is None else out
         return _multiplicative_sieve(
-            lo, hi, lambda p, e: ratios[p][e - 1], self.extra, leftover, out, self.D
+            lo, hi, lambda p, e: ratios[p][e - 1], self.extra, leftover, self.G, self.D
         )
 
 
-def g_range(
-    model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int, out=None
-) -> np.ndarray:
+def g_range(model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int) -> np.ndarray:
     """g_a(q) for q in [lo, hi], one float per q.
 
     Prime powers carry the exact local ratio; divisors of a and the model's
@@ -369,14 +371,13 @@ def g_range(
     leftover primes get the model's bulk h(p) rule, h_prime_vec.  model is
     a SequenceModel, whose table is built for [lo, hi] alone, or a
     LocalRatios table already built for a on a range that holds [lo, hi]
-    (s5_sums passes one per tail); the output is the same.  Given out, a
-    float64 array of at least hi - lo + 1, the result is its prefix, as is
-    a table's own G (LocalRatios.with_buffers); the values are those of a
-    fresh call.
+    (s5_sums passes one per tail); the output is the same.  A table with
+    its own buffers (LocalRatios.with_buffers) returns a prefix of its G,
+    with the values of a fresh call.
     """
     _check_window(lo, hi)
     table = model if isinstance(model, LocalRatios) else LocalRatios(model, a, lo, hi)
-    return table.sieve(a, lo, hi, out)
+    return table.sieve(a, lo, hi)
 
 
 def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
@@ -467,12 +468,11 @@ def _slice_sums(
     window's weights over 1 <= n <= x with n = a mod q, in int64 for integer
     weights and in float64 otherwise.
 
-    [1, x] is taken in segments of _SEGMENT integers, upward in n, each
-    filled by sequences.dense_weights into one reused buffer: the whole
-    segment, or, for a window with at most x.bit_length() even points up
-    to x (primes, twin, rough(y >= 3): _plane), the plane of its odd n
-    only, half as long, with the few even points added term by term.  Each
-    segment adds its terms into a per-q accumulator (_segment_sums);
+    [1, x] is walked by _segments, which owns the walk, in segments of
+    _SEGMENT integers, upward in n: whole, or for primes, twin and
+    rough(y >= 3) (_plane) the plane of its odd n, with the few even points
+    added term by term.  Each segment adds its terms into a per-q
+    accumulator (_segment_sums) before the next one is drawn;
     threads > 1 hands one pool _CHUNKS_PER_THREAD contiguous ranges of
     moduli per thread, mapped over every segment in turn.  A modulus above
     Q0 adds its terms r-ascending, an even point in its cofactor's turn,
@@ -486,17 +486,10 @@ def _slice_sums(
     if hi < lo:
         return acc
     q0 = max(math.isqrt(x), abs(a))
-    step, evens = _plane(window, x, a)
     several = threads > 1 and hi - lo >= 1024
     bounds = _chunks(lo, hi, _CHUNKS_PER_THREAD * threads) if several else [(lo, hi)]
-    buf = None  # the first plane, the longest, refilled for every later segment
     with ThreadPoolExecutor(max_workers=threads) if several else contextlib.nullcontext() as pool:
-        for n0 in range(1, x + 1, _SEGMENT):
-            top = min(n0 + _SEGMENT - 1, x)
-            p0 = n0 + (1 - n0) % step  # the plane's first n, odd at step 2
-            plane = sq.dense_weights(window, top, lo=p0, out=buf, step=step)
-            buf = plane if buf is None else buf
-            points = [p for p in evens if n0 <= p[0] <= top]
+        for p0, step, plane, points in _segments(window, x, a, _SEGMENT):
 
             def part(b: tuple[int, int]) -> None:
                 i, j = b[0] - lo, b[1] - lo + 1
@@ -506,8 +499,26 @@ def _slice_sums(
     return acc[keep]
 
 
+def _segments(window: sq.SievedWindow, x: int, a: int, size: int):
+    """The one walk over [1, x], read by _slice_sums and
+    verify.divisor_switch_check: per segment of size integers, upward in n,
+    (p0, step, plane, points), plane[j] the weight of n = p0 + step*j (odd
+    n at _plane's step 2), points the segment's even points off the plane.
+    Each plane is a prefix of one buffer that sequences.dense_weights
+    refills, so it and its views are valid until the next segment is drawn.
+    """
+    step, evens = _plane(window, x, a)
+    buf = None
+    for n0 in range(1, x + 1, size):
+        top = min(n0 + size - 1, x)
+        p0 = n0 + (1 - n0) % step  # odd at step 2
+        plane = sq.dense_weights(window, top, lo=p0, out=buf, step=step)
+        buf = plane if buf is None else buf
+        yield p0, step, plane, [p for p in evens if n0 <= p[0] <= top]
+
+
 def _plane(window: sq.SievedWindow, x: int, a: int) -> tuple[int, list]:
-    """The step of the dense plane _slice_sums reads for a window over
+    """The step of the dense plane _segments walks for a window over
     [1, x], and the points that plane leaves out.
 
     A window with at most x.bit_length() even points n <= x (primes: the
@@ -538,7 +549,7 @@ def _segment_sums(
     lo: int,
     hi: int,
     keep: np.ndarray,
-    evens=(),
+    evens: list,
 ) -> None:
     """acc[q - lo] += the terms n = a mod q of the segment that starts at
     n0 >= 1, for each q in [lo, hi] (q <= q0 only where keep[q - lo]): the
@@ -581,7 +592,7 @@ def _segment_sums(
         acc[q - lo : q - lo + step * len(v) : step] += v
 
 
-def _cofactor_slices(plane: np.ndarray, n0: int, s: int, a: int, lo: int, hi: int, evens=()):
+def _cofactor_slices(plane: np.ndarray, n0: int, s: int, a: int, lo: int, hi: int, evens: list):
     """For r = 1, 2, ...: the terms n = a + r*q over lo <= q <= hi that the
     plane holds, n = n0 + s*j with 0 <= j < len(plane), as (the first such
     q, the step between their q, one strided view in q-order) per r with

@@ -25,7 +25,9 @@ import numpy as np
 
 from . import bias
 from . import multfn as mf
-from .errors import ConfigurationError, DomainError, ResourceError, UnsupportedError
+from .errors import (
+    ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers
+)
 from .factorint import as_factored, iter_primes, prime_window
 # kept for bench/run.py --trace 1, which wraps it by name, until ROADMAP item 6's benchmark change
 from .factorint import spf_window  # noqa: F401
@@ -395,6 +397,7 @@ class SievedWindow:
 
 
 def _check_window(lo: int, hi: int):
+    require_integers(lo=lo, hi=hi)
     if not (1 <= lo <= hi):
         raise DomainError(f"bad window [{lo}, {hi}]")
     if hi > MAX_TABLE_LIMIT:

@@ -211,9 +211,9 @@ def divisor_switch_check(
     The direct side gathers A*(x;q,a), the terms n = a + kq with k >= 1,
     modulus by modulus over x/M < q <= x - a.  The switched side is the
     cofactor slices harness._slice_sums adds, which group the same terms by
-    r, walked over segments of [1, x] that split it, as the production sums
-    walk theirs: from the odd-n plane and its even points where the
-    production sums read one (harness._plane), else from whole segments.
+    r, over three segments of [1, x] from harness._segments, the walk the
+    production sums read, each segment's views joined before the next is
+    drawn and refills the plane.
     Integer families sum in int64 over the narrow dense array; weighted
     families compare fsum against fsum of the identical multiset, so
     equality is still exact.
@@ -230,17 +230,11 @@ def divisor_switch_check(
     # k runs 1..K_q within each modulus's stretch of the gather
     k = np.arange(1, K.sum() + 1) - np.repeat(np.cumsum(K) - K, K)
     direct = w[a + np.repeat(q, K) * k]
-    step, evens = hn._plane(window, x, a)
-    size = x // 3 + 1  # three segments, the last one shorter
-    views = []
-    for n0 in range(1, x + 1, size):
-        top = min(n0 + size - 1, x)
-        p0 = n0 + (1 - n0) % step
-        plane = sq.dense_weights(window, top, lo=p0, step=step)
-        points = [p for p in evens if n0 <= p[0] <= top]
-        views += [v for _, _, v in hn._cofactor_slices(plane, p0, step, a, G + 1, x, points)]
-    switched = np.concatenate([w[:0], *views])
-    d, s = sq._reduce(direct), sq._reduce(switched)
+    switched = [w[:0]]
+    for p0, step, plane, points in hn._segments(window, x, a, x // 3 + 1):
+        views = hn._cofactor_slices(plane, p0, step, a, G + 1, x, points)
+        switched.append(np.concatenate([w[:0], *(v for _, _, v in views)]))
+    d, s = sq._reduce(direct), sq._reduce(np.concatenate(switched))
     return float(d), float(s), d == s
 
 

@@ -162,22 +162,16 @@ def test_ktuple_term_range_same_bits_as_integer_cofactor_oracle(lo, hi):
 
 def test_g_range_fills_a_given_buffer_with_the_bits_of_a_fresh_call():
     # a window of two pieces with batched primes, then a shorter one into
-    # the same, now stale, buffers: given as out, and a table's own
+    # the same, now stale, buffers of a table's own
     model = mf.primes_model()
-    buf = np.full(2**21, np.nan)
     for a, lo, hi in ((1, 10**9 - 2**20 + 1, 10**9), (3 * 1009, 2001, 4000)):
         fresh = h.g_range(model, a, lo, hi)
-        got = h.g_range(model, a, lo, hi, out=buf)
-        assert got.base is buf and len(got) == hi - lo + 1
-        assert got.tobytes() == fresh.tobytes()
         table = h.LocalRatios(model, a, lo, hi).with_buffers(2**20)
         for _ in range(2):
             got = h.g_range(table, a, lo, hi)
             assert got.base is table.G and got.tobytes() == fresh.tobytes()
     with pytest.raises(ConfigurationError):
-        h.g_range(model, 1, 1, 100, out=buf[:99])
-    with pytest.raises(ConfigurationError):
-        h.g_range(model, 1, 1, 100, out=np.empty(100, dtype=np.float32))
+        h.g_range(h.LocalRatios(model, 1, 1, 100).with_buffers(99), 1, 1, 100)
 
 
 def test_window_refused_at_the_float_cofactor_bound(monkeypatch):
@@ -247,6 +241,37 @@ def test_config_validation():
         h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=100, M=5.0, coprime_filter="q")
     cfg = h.ExperimentConfig(kind=sq.PrimesLambda(), a=1, x=10**6, M=10.0)
     assert len(cfg.config_hash) == 12
+
+
+def test_config_refuses_non_integer_bounds():
+    # x = 1e4 or a = 1.5 once got a config_hash and failed inside numpy
+    for a, x in ((1, 1e4), (1.5, 10**4), (1.0, 10**4), (1, 10**4 + 0.5)):
+        with pytest.raises(DomainError):
+            h.ExperimentConfig(kind=sq.PrimesLambda(), a=a, x=x, M=5.0)
+    # numpy integers pass, and run as the same ints
+    cfg = h.ExperimentConfig(kind=sq.PrimesLambda(), a=np.int64(-1), x=np.int32(10**4), M=5.0)
+    assert type(cfg.a) is int and type(cfg.x) is int
+    want = h.ExperimentConfig(kind=sq.PrimesLambda(), a=-1, x=10**4, M=5.0)
+    assert cfg == want
+    reports = [dataclasses.replace(h.empirical_average(c), runtime_ms=0) for c in (cfg, want)]
+    assert repr(reports[0]) == repr(reports[1])
+    json.dumps(h.report_to_dict(reports[0]))
+
+
+def test_g_range_refuses_non_integer_bounds(monkeypatch):
+    model = mf.primes_model()
+    want = h.g_range(model, 1, 1, 100)
+    assert h.g_range(model, 1, np.int64(1), np.uint32(100)).tobytes() == want.tobytes()
+
+    def no_primes(*args):
+        raise AssertionError("sieved a non-integer window")
+
+    monkeypatch.setattr(h, "iter_primes", no_primes)
+    for lo, hi in ((1, 100.0), (1.0, 100), (1, 99.5)):
+        with pytest.raises(DomainError):
+            h.g_range(model, 1, lo, hi)
+        with pytest.raises(DomainError):
+            h.ktuple_term_range(kt.TWIN, lo, hi)
 
 
 def test_primes_full_average_is_negative():
@@ -933,28 +958,55 @@ def test_divisor_switch_exact():
 
 
 def test_divisor_switch_checks_the_production_slices(monkeypatch):
-    # the switched side is harness's own cofactor slices: lose one or count
-    # one twice there and the check must see it
-    real = h._cofactor_slices
+    # the switched side is harness's own cofactor slices over harness's own
+    # segments: lose one or count one twice in either and the check must
+    # see it, as the production sums do against the per-q oracle
+    real_slices, real_segments = h._cofactor_slices, h._segments
 
     def dropped(*args):
-        slices = list(real(*args))
+        slices = list(real_slices(*args))
         return slices[:1] + slices[2:]
 
     def repeated(*args):
-        slices = list(real(*args))
+        slices = list(real_slices(*args))
         return slices + slices[1:2]
+
+    def segment_dropped(*args):
+        for i, seg in enumerate(real_segments(*args)):
+            if i != 1:
+                yield seg
+
+    def segment_repeated(*args):
+        for i, seg in enumerate(real_segments(*args)):
+            yield seg
+            if i == 1:
+                yield seg
 
     # primes are walked on their odd-n plane with the powers of 2 as even
     # points, two_squares on whole segments
+    x, a, M = 10**4, 3, 20.0
     steps = {sq.SumTwoSquares(): 1, sq.PrimesLambda(): 2}
+    windows = {kind: sq.sieve(kind, 1, x) for kind in steps}
     for kind, step in steps.items():
-        assert h._plane(sq.sieve(kind, 1, 10**4), 10**4, 3)[0] == step
+        assert h._plane(windows[kind], x, a)[0] == step
     for fake in (dropped, repeated):
-        monkeypatch.setattr(h, "_cofactor_slices", fake)
-        for kind in steps:
-            d, s, eq = vf.divisor_switch_check(kind, 3, 10**4, 20.0)
-            assert not eq and d != s, (fake.__name__, kind)
+        with monkeypatch.context() as mp:
+            mp.setattr(h, "_cofactor_slices", fake)
+            for kind in steps:
+                d, s, eq = vf.divisor_switch_check(kind, a, x, M)
+                assert not eq and d != s, (fake.__name__, kind)
+    monkeypatch.setattr(h, "_SEGMENT", 4099)
+    hi = int(x / M)
+    keep = np.ones(hi, dtype=bool)
+    for fake in (segment_dropped, segment_repeated):
+        with monkeypatch.context() as mp:
+            mp.setattr(h, "_segments", fake)
+            for kind, win in windows.items():
+                d, s, eq = vf.divisor_switch_check(kind, a, x, M)
+                assert not eq and d != s, (fake.__name__, kind)
+                want = _per_q_sums(sq.dense_weights(win, x), a, 1, hi, keep)
+                got = h._slice_sums(win, x, a, 1, hi, keep)
+                assert not np.array_equal(got, want), (fake.__name__, kind)
 
 
 def test_export_csv_deterministic(tmp_path):

@@ -246,6 +246,21 @@ def test_ktuple_with_coefficients():
         assert dense[n] == pytest.approx(expected, abs=1e-12), n
 
 
+def test_sieve_refuses_non_integer_bounds(monkeypatch):
+    # 1e4 once reached numpy and failed there with a TypeError
+    want = sq.sieve(sq.PrimesLambda(), 1, 10**4)
+    got = sq.sieve(sq.PrimesLambda(), np.int64(1), np.uint16(10**4))
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+    def no_window(*args):
+        raise AssertionError("sieved a non-integer window")
+
+    monkeypatch.setattr(sq.PrimesLambda, "window", no_window)
+    for lo, hi in ((1, 1e4), (1.0, 10**4), (1, 10**4 - 0.5)):
+        with pytest.raises(DomainError):
+            sq.sieve(sq.PrimesLambda(), lo, hi)
+
+
 def test_window_validation():
     with pytest.raises(DomainError):
         sq.sieve(sq.PrimesLambda(), 0, 10)
