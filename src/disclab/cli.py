@@ -203,6 +203,8 @@ def _cache_path(kind: sq.Family, x: int, directory: str) -> str:
 
 
 def _window_for(kind: sq.Family, x: int):
+    """The cached window of kind over exactly [1, x], or None, for the run to
+    sieve: a cache of another family or another range is ignored."""
     cache_dir = os.environ.get("DISCLAB_CACHE_DIR")
     if cache_dir:
         path = _cache_path(kind, x, cache_dir)
@@ -210,21 +212,19 @@ def _window_for(kind: sq.Family, x: int):
             win = sq.load_window(path)
             if win.kind_label == kind.label() and (win.lo, win.hi) == (1, x):
                 return win
-    return sq.sieve(kind, 1, x)
+    return None
 
 
 def cmd_discrepancy(args) -> int:
     kind = _family(args)
     _require(args, "a", "x", "M")
-    if args.threads is not None and args.threads < 1:
-        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    threads = args.threads or os.cpu_count() or 1
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
     cfg = hn.ExperimentConfig(
         kind=kind, a=args.a, x=args.x, M=args.M,
         mode=args.mode, coprime_filter=args.coprime_filter,
     )
-    hn.check_run(cfg)  # a refused run costs no sieve and no cache load
-    report = hn.empirical_average(cfg, window=_window_for(kind, args.x), threads=threads)
+    # the cache is read only once the run is known not to be refused
+    report = hn.empirical_average(cfg, window=lambda: _window_for(kind, args.x), threads=threads)
     print(f"q_count = {report.q_count}")
     print(f"empirical_sum = {_fmt(report.empirical_sum)}")
     print(f"normalized_avg = {_fmt(report.normalized_avg)}")

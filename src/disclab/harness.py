@@ -29,13 +29,14 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -627,53 +628,6 @@ def _cofactor_slices(plane: np.ndarray, n0: int, s: int, a: int, lo: int, hi: in
         yield q, 1, w
 
 
-def _check_budget(x: int) -> None:
-    if x > sq.MAX_WINDOW:
-        raise ResourceError(f"x={x} above dense-array budget {sq.MAX_WINDOW}")
-
-
-def check_run(cfg: ExperimentConfig) -> None:
-    """Refuse, before any window is sieved or loaded, a run empirical_average
-    would refuse: a filter the family does not take, an x above the
-    dense-array budget, and, for a q-range with any modulus, a shift at
-    which the model has no density (a quadratic form's at a prime of 2d
-    that divides a) or a 'P' filter whose base is 0.  The densities are
-    asked at e = 1 for each bad prime with a multiple in the q-range, the
-    first place g_range would raise."""
-    if cfg.kind.required_filter not in (None, cfg.coprime_filter):
-        raise UnsupportedError(
-            f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
-        )
-    _check_budget(cfg.x)
-    lo, hi = cfg.q_range()
-    if hi < lo:
-        return
-    model = cfg.kind.model()
-    for p in sorted(model.bad_primes) if model is not None else ():
-        if (lo + p - 1) // p * p <= hi:
-            mf.g_local(model, p, 1, cfg.a)
-    if _filter_base(cfg) == 0:
-        raise DomainError("P(a;H) = 0: the filter is undefined")
-
-
-def _dense_window(
-    kind: sq.Family, x: int, window: Optional[sq.SievedWindow]
-) -> sq.SievedWindow:
-    """The window a run over [1, x] sums: refused above the dense-array
-    budget before any work, sieved when none is given, else checked to
-    cover [1, x] for kind with kind's weight type."""
-    _check_budget(x)
-    if window is None:
-        return sq.sieve(kind, 1, x)
-    if window.kind_label != kind.label() or window.lo != 1 or window.hi < x:
-        raise ConfigurationError(
-            f"window {window.kind_label} [{window.lo}, {window.hi}] does not "
-            f"cover [1, {x}] for {kind.label()}"
-        )
-    sq.check_weight_type(kind, window)
-    return window
-
-
 def _chunks(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
     """[lo, hi] cut into at most n contiguous ranges, spaced geometrically,
     so each holds about as many terms (a modulus q has about x/q of them).
@@ -686,10 +640,20 @@ def _chunks(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
 
 def empirical_average(
     cfg: ExperimentConfig,
-    window: Optional[sq.SievedWindow] = None,
+    window: sq.SievedWindow | Callable[[], Optional[sq.SievedWindow]] | None = None,
     threads: int = 1,
 ) -> DiscrepancyReport:
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
+
+    Refusals come before the work they spare, in this order: a thread count
+    that is not an integer >= 1, a filter the family does not take and an x
+    above the dense-array budget, then whatever the densities refuse
+    (_term_array, _filter_mask: a shift at which the model has no density,
+    a 'P' filter whose base is 0), and only then the window.  window is a
+    SievedWindow over exactly [1, x], or None to sieve one, or a callable
+    with no arguments that returns either; it is called only once the run
+    is known not to be refused, so a refused run costs no sieve and no cache
+    load.  sq.window_over refuses a window that does not serve the run.
 
     The per-q counts come from _slice_sums, which sums the window one dense
     segment at a time, integer families in integers; threads > 1 hands its
@@ -699,12 +663,20 @@ def empirical_average(
     so the report is the same at every thread count.
     """
     t0 = time.perf_counter()
-    check_run(cfg)
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ConfigurationError(f"threads must be an integer >= 1, got {threads!r}")
+    threads = int(threads)  # a numpy integer runs as an int
+    if cfg.kind.required_filter not in (None, cfg.coprime_filter):
+        raise UnsupportedError(
+            f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
+        )
+    if cfg.x > sq.MAX_WINDOW:  # window_over's budget refusal, before any density
+        sq.window_over(cfg.kind, cfg.x)
     q_lo, q_hi = cfg.q_range()
-    if q_hi >= q_lo:  # the densities first: a shift they refuse costs no window
+    if q_hi >= q_lo:  # the densities before the window: a shift they refuse costs no window
         G = _term_array(cfg, q_lo, q_hi)
         mask = _filter_mask(cfg, q_lo, q_hi)
-    window = _dense_window(cfg.kind, cfg.x, window)
+    window = sq.window_over(cfg.kind, cfg.x, window() if callable(window) else window)
     A_x = sq.count_A_upto(window, cfg.x)
     A_xf = float(A_x)
 

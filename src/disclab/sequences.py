@@ -570,14 +570,31 @@ def dense_weights(
     return out
 
 
-def check_weight_type(kind: Family, window: SievedWindow) -> None:
-    """Refuse a window whose weight dtype is not kind's: a cache whose
-    weight-type byte flipped between 0 and 1 loads, read in the other type."""
+def window_over(kind: Family, x: int, window: SievedWindow | None = None) -> SievedWindow:
+    """The window a run or an identity over [1, x] reads for kind, and the one
+    place a window is refused for it.  In order: x must be an integer (a
+    numpy integer runs as an int) no larger than MAX_WINDOW, refused before
+    any work; with no window given, [1, x] is sieved; a given window must
+    carry kind's label, cover exactly [1, x] and hold kind's weight type (a
+    cache whose weight-type byte flipped between 0 and 1 loads, read in the
+    other type)."""
+    require_integers(x=x)
+    x = int(x)
+    if x > MAX_WINDOW:
+        raise ResourceError(f"x={x} above dense-array budget {MAX_WINDOW}")
+    if window is None:
+        return sieve(kind, 1, x)
+    if window.kind_label != kind.label() or (window.lo, window.hi) != (1, x):
+        raise ConfigurationError(
+            f"window {window.kind_label} [{window.lo}, {window.hi}] does not "
+            f"cover exactly [1, {x}] for {kind.label()}"
+        )
     if (window.weights.dtype == np.int64) != kind.integer_weights:
         raise ConfigurationError(
             f"window {window.kind_label} has {window.weights.dtype} weights; "
             f"{kind.label()} needs {'int64' if kind.integer_weights else 'float64'}"
         )
+    return window
 
 
 def check_Ad_identity(
@@ -586,18 +603,15 @@ def check_Ad_identity(
     """Exact identity: the count of multiples of d equals the plain count at
     a rescaled cutoff h(d)/d * x.  Integer families only.
 
-    Pass a precomputed window covering [1, x] to amortize the sieve over
-    many d values."""
+    Pass a precomputed window over exactly [1, x] (window_over) to amortize
+    the sieve over many d values."""
+    require_integers(d=d)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if not kind.indicator:
         raise UnsupportedError(f"identity only for indicator families, not {kind.label()}")
     scale = kind.model().h_of(d) / d
-    if window is None:
-        window = sieve(kind, 1, x)
-    elif window.kind_label != kind.label() or window.lo != 1 or window.hi != x:
-        raise ConfigurationError("window must cover exactly [1, x] for this family")
-    check_weight_type(kind, window)
+    window = window_over(kind, x, window)
     lhs = count_Ad(window, d)
     rhs = count_A_upto(window, scale * x) if scale else 0
     return lhs == rhs, lhs, rhs

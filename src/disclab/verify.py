@@ -20,7 +20,7 @@ from . import ktuples as kt
 from . import multfn as mf
 from . import quadform as qf
 from . import sequences as sq
-from .errors import ConfigurationError, DomainError, UnsupportedError
+from .errors import ConfigurationError, DomainError, UnsupportedError, require_integers
 from .factorint import as_factored, divisors, iter_primes, kronecker, phi
 
 _MAX_DUMP = 5
@@ -206,7 +206,8 @@ def singular_series_tail_honesty(depth: int):
 def divisor_switch_check(
     kind: sq.Family, a: int, x: int, M: float, window: sq.SievedWindow | None = None
 ) -> tuple[float, float, bool]:
-    """Both sides of the large-modulus count swap n = a + qr.
+    """Both sides of the large-modulus count swap n = a + qr, over the window
+    sq.window_over gives for [1, x]: window, if given, covers exactly [1, x].
 
     The direct side gathers A*(x;q,a), the terms n = a + kq with k >= 1,
     modulus by modulus over x/M < q <= x - a.  The switched side is the
@@ -218,11 +219,13 @@ def divisor_switch_check(
     families compare fsum against fsum of the identical multiset, so
     equality is still exact.
     """
+    require_integers(a=a)
     if a <= 0:
         raise DomainError(f"the identity is stated for a > 0, got a={a}")
     if not (math.isfinite(M) and M > 0):
         raise DomainError(f"M must be finite and positive, got M={M}")
-    window = hn._dense_window(kind, x, window)
+    window = sq.window_over(kind, x, window)
+    a, x = int(a), int(x)  # a numpy integer runs as an int: x.bit_length() in _plane
     w = sq.dense_weights(window, x)
     G = int(x / M)
     q = np.arange(G + 1, x - a + 1, dtype=np.int64)

@@ -688,9 +688,20 @@ def test_resource_guard(monkeypatch):
 
 
 def test_refused_shift_costs_no_window(monkeypatch):
-    # check_run refuses what the term array refuses, with the same error,
-    # before any window: the forms at a prime of 2d dividing a (x^2 + 2y^2,
-    # d = 8 mod 16, at every a), and twin's P filter at a = -2
+    # empirical_average refuses what the term array or the filter refuses,
+    # with the same error, before it asks for its window: the forms at a
+    # prime of 2d dividing a (x^2 + 2y^2, d = 8 mod 16, at every a), and
+    # twin's P filter at a = -2.  Every other shift asks for the window.
+    class AskedForWindow(Exception):
+        pass
+
+    def window():
+        raise AskedForWindow
+
+    def no_sieve(*args):
+        raise AssertionError("sieved for a refused shift")
+
+    monkeypatch.setattr(sq, "sieve", no_sieve)
     forms = [BinaryQuadraticForm(*abc) for abc in ((1, 0, 1), (2, 1, 3), (1, 0, 2))]
     kinds = [sq.QuadFormMult(f) for f in forms] + [sq.KTupleWeight(kt.TWIN), sq.PrimesLambda()]
     refused = 0
@@ -705,16 +716,13 @@ def test_refused_shift_costs_no_window(monkeypatch):
             h._filter_mask(cfg, lo, hi)
         except (DomainError, UnsupportedError) as exc:
             refused += 1
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                h.check_run(cfg)
+            with pytest.raises(type(exc), match=re.escape(str(exc))) as got:
+                h.empirical_average(cfg, window=window)
+            assert got.type is type(exc)
         else:
-            h.check_run(cfg)
+            with pytest.raises(AskedForWindow):
+                h.empirical_average(cfg, window=window)
     assert refused > 100
-
-    def no_sieve(*args):
-        raise AssertionError("sieved for a refused shift")
-
-    monkeypatch.setattr(sq, "sieve", no_sieve)
     cfg = h.ExperimentConfig(kind=sq.QuadFormMult(forms[0]), a=6, x=1000, M=10.0)
     with pytest.raises(DomainError, match="shares the prime 2"):
         h.empirical_average(cfg)
@@ -728,11 +736,51 @@ def test_window_must_cover_the_run():
         sq.sieve(sq.SumTwoSquares(), 1, x),  # another family
         sq.sieve(kind, 2, x),
         sq.sieve(kind, 1, x - 1),
+        sq.sieve(kind, 1, x + 1),  # a window covers exactly [1, x]
     ):
         with pytest.raises(ConfigurationError):
             h.empirical_average(cfg, window=win)
         with pytest.raises(ConfigurationError):
             vf.divisor_switch_check(kind, 3, x, 20.0, window=win)
+
+
+def test_thread_count_must_be_a_positive_integer(monkeypatch):
+    # refused before any density or window; a numpy integer runs as an int
+    x = 20000
+    kind = sq.PrimesLambda()
+    cfg = h.ExperimentConfig(kind=kind, a=1, x=x, M=10.0)
+    win = sq.sieve(kind, 1, x)
+    want = dataclasses.replace(h.empirical_average(cfg, window=win, threads=2), runtime_ms=0)
+    got = h.empirical_average(cfg, window=win, threads=np.int64(2))
+    assert repr(dataclasses.replace(got, runtime_ms=0)) == repr(want)
+
+    def no_work(*args):
+        raise AssertionError("worked for a refused thread count")
+
+    monkeypatch.setattr(h, "_term_array", no_work)
+    for threads in (0, -2, 1.5, 2.0, "2", None):
+        with pytest.raises(ConfigurationError, match="threads"):
+            h.empirical_average(cfg, window=no_work, threads=threads)
+
+
+def test_identities_take_integer_bounds():
+    # x and a (or d) as numpy integers run as ints; a float one is refused
+    kind = sq.PrimesLambda()
+    x = 10**4
+    win = sq.sieve(kind, 1, x)
+    want = vf.divisor_switch_check(kind, 3, x, 20.0)
+    assert want[2]
+    assert vf.divisor_switch_check(kind, 3, np.int64(x), 20.0) == want
+    assert vf.divisor_switch_check(kind, np.int32(3), np.int64(x), 20.0, window=win) == want
+    for a, bad_x in ((3, 10000.0), (3.0, x)):
+        for given in (None, win):
+            with pytest.raises(DomainError, match="must be an integer"):
+                vf.divisor_switch_check(kind, a, bad_x, 20.0, window=given)
+    squares = sq.SumTwoSquares()
+    assert sq.check_Ad_identity(squares, np.int64(x), 3) == sq.check_Ad_identity(squares, x, 3)
+    for bad_x, d in ((10000.0, 3), (x, 2.5)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            sq.check_Ad_identity(squares, bad_x, d, window=sq.sieve(squares, 1, x))
 
 
 def test_window_weight_type_must_match_the_family(tmp_path):
