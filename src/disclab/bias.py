@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, UnsupportedError
 from .factorint import as_factored, iter_primes, kronecker
-from .ktuples import KTuple
 from .multfn import SequenceModel, local_diff, omega_h
 from .quadform import BinaryQuadraticForm
 from . import sequences as sq
@@ -245,22 +244,16 @@ def L_one_chi(d: int) -> float:
 
 
 def predict_example(
-    family: str,
-    a: int,
-    M: float,
-    x: float | None = None,
-    *,
-    form: BinaryQuadraticForm | None = None,
-    tuple: KTuple | None = None,
-    y: int | None = None,
+    family: str, a: int, M: float, x: float | None = None, **params
 ) -> BiasPrediction:
-    """Closed-form prediction for a family by name (sequences.family_named),
-    stated in the family's own normalization."""
+    """Closed-form prediction for a family by name, stated in the family's
+    own normalization; the family is sequences.family_named(family, **params),
+    so its parameter is a keyword named after its field, built or as text."""
     if a == 0:
         raise DomainError("a must be nonzero")
     if not (math.isfinite(M) and M > 1):
         raise DomainError(f"M must be finite and > 1, got {M}")
-    return sq.family_named(family, form=form, tuple=tuple, y=y).predict(a, M, x)
+    return sq.family_named(family, **params).predict(a, M, x)
 
 
 def predict_s5(family: str, a: int, M: float, R: float) -> float:

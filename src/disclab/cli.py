@@ -24,7 +24,6 @@ from dataclasses import fields
 
 from . import bias
 from . import harness as hn
-from . import ktuples as kt
 from . import quadform as qf
 from . import sequences as sq
 from . import verify as vf
@@ -168,12 +167,7 @@ def _require(args, *names):
 
 def _family(args) -> sq.Family:
     _require(args, "kind")
-    if args.kind not in sq.FAMILIES:
-        raise ConfigurationError(f"unknown kind {args.kind!r}")
-    family = sq.FAMILIES[args.kind]
-    names = [f.name for f in fields(family)]
-    _require(args, *names)
-    return family(*(family.parse(getattr(args, name)) for name in names))
+    return sq.family_named(args.kind, **vars(args))
 
 
 def _print_prediction(pred: bias.BiasPrediction):
@@ -188,11 +182,8 @@ def _print_prediction(pred: bias.BiasPrediction):
 
 def cmd_predict(args) -> int:
     _require(args, "family", "a", "M")
-    form = qf.parse_form(args.form) if args.form else None
-    tup = kt.parse_tuple(args.tuple) if args.tuple else None
-    pred = bias.predict_example(
-        args.family, args.a, args.M, args.x, form=form, tuple=tup, y=args.y
-    )
+    params = {flag: getattr(args, flag) for flag in _KIND_FLAGS}
+    pred = bias.predict_example(args.family, args.a, args.M, args.x, **params)
     _print_prediction(pred)
     return 0
 

@@ -396,6 +396,8 @@ def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
 
 
 def _term_array(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    if hi < lo:
+        return np.empty(0)
     model = cfg.kind.model()
     if model is None:
         return ktuple_term_range(cfg.kind.tuple, lo, hi)
@@ -408,14 +410,15 @@ def _filter_base(cfg: ExperimentConfig) -> int:
         return 1
     if cfg.coprime_filter == "a":
         return abs(cfg.a)
-    return abs(cfg.kind.P(cfg.a))
+    base = abs(cfg.kind.P(cfg.a))
+    if base == 0:
+        raise DomainError("P(a;H) = 0: the filter is undefined")
+    return base
 
 
 def _filter_mask(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     mask = np.ones(hi - lo + 1, dtype=bool)
     base = _filter_base(cfg)
-    if base == 0:
-        raise DomainError("P(a;H) = 0: the filter is undefined")
     if base == 1:
         return mask
     for p, _ in as_factored(base).factors:
@@ -649,11 +652,12 @@ def empirical_average(
     that is not an integer >= 1, a filter the family does not take and an x
     above the dense-array budget, then whatever the densities refuse
     (_term_array, _filter_mask: a shift at which the model has no density,
-    a 'P' filter whose base is 0), and only then the window.  window is a
-    SievedWindow over exactly [1, x], or None to sieve one, or a callable
-    with no arguments that returns either; it is called only once the run
-    is known not to be refused, so a refused run costs no sieve and no cache
-    load.  sq.window_over refuses a window that does not serve the run.
+    a 'P' filter whose base is 0), asked for an empty q-range too, and only
+    then the window.  window is a SievedWindow over exactly [1, x], or None
+    to sieve one, or a callable with no arguments that returns either; it is
+    called only once the run is known not to be refused, so a refused run
+    costs no sieve and no cache load.  sq.window_over refuses a window that
+    does not serve the run.
 
     The per-q counts come from _slice_sums, which sums the window one dense
     segment at a time, integer families in integers; threads > 1 hands its
@@ -673,9 +677,9 @@ def empirical_average(
     if cfg.x > sq.MAX_WINDOW:  # window_over's budget refusal, before any density
         sq.window_over(cfg.kind, cfg.x)
     q_lo, q_hi = cfg.q_range()
-    if q_hi >= q_lo:  # the densities before the window: a shift they refuse costs no window
-        G = _term_array(cfg, q_lo, q_hi)
-        mask = _filter_mask(cfg, q_lo, q_hi)
+    # the densities before the window, even for an empty q-range: a shift they refuse costs none
+    G = _term_array(cfg, q_lo, q_hi)
+    mask = _filter_mask(cfg, q_lo, q_hi)
     window = sq.window_over(cfg.kind, cfg.x, window() if callable(window) else window)
     A_x = sq.count_A_upto(window, cfg.x)
     A_xf = float(A_x)
@@ -683,15 +687,12 @@ def empirical_average(
     # a(a), read as the slice sums read it, from a dense array of the window
     pm = float(sq.dense_weights(window, cfg.a, lo=cfg.a)[0]) if 0 < cfg.a <= cfg.x else 0.0
 
-    if q_hi < q_lo:
-        terms = np.empty(0)
-    else:
-        sums = _slice_sums(window, cfg.x, cfg.a, q_lo, q_hi, mask, threads)
-        # (sums - pm) - G A(x), formed in place
-        terms = sums.astype(np.float64, copy=False)
-        terms -= pm
-        G = G[mask]
-        terms -= np.multiply(G, A_xf, out=G)
+    sums = _slice_sums(window, cfg.x, cfg.a, q_lo, q_hi, mask, threads)
+    # (sums - pm) - G A(x), formed in place
+    terms = sums.astype(np.float64, copy=False)
+    terms -= pm
+    G = G[mask]
+    terms -= np.multiply(G, A_xf, out=G)
     q_count = len(terms)
     empirical = sq.array_fsum(terms)
     norm = _normalizer(cfg, A_xf)

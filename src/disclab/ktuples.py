@@ -46,13 +46,14 @@ TWIN = KTuple(((1, 0), (1, 2)))
 
 
 def parse_tuple(text: str) -> KTuple:
-    """Parse "a1,b1;a2,b2;..." into a KTuple."""
+    """Parse "a1,b1;a2,b2;..." into a KTuple; each part is two integers."""
     forms = []
     for part in text.split(";"):
-        pieces = part.split(",")
-        if len(pieces) != 2:
-            raise DomainError(f"malformed tuple component {part!r}")
-        forms.append((int(pieces[0]), int(pieces[1])))
+        try:
+            a, b = map(int, part.split(","))
+        except ValueError:
+            raise DomainError(f"malformed tuple component {part!r}") from None
+        forms.append((a, b))
     return KTuple(tuple(forms))
 
 

@@ -57,10 +57,11 @@ class BinaryQuadraticForm:
 
 
 def parse_form(text: str) -> BinaryQuadraticForm:
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise DomainError(f"form must be 'alpha,beta,gamma', got {text!r}")
-    return BinaryQuadraticForm(*parts)
+    try:
+        alpha, beta, gamma = map(int, text.split(","))
+    except ValueError:  # not three parts, or a part that is not an integer
+        raise DomainError(f"form must be 'alpha,beta,gamma' in integers, got {text!r}") from None
+    return BinaryQuadraticForm(alpha, beta, gamma)
 
 
 @functools.lru_cache(maxsize=256)

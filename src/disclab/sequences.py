@@ -56,8 +56,8 @@ class Family:
     closed form as a bias.BiasPrediction in its own normalization (a != 0
     and finite M > 1 checked by the caller; A_x, the exact count A(x) where
     the caller holds its window, spares a form that needs it a sieve).  Its
-    dataclass field, if any, is its parameter; the field's name is also its
-    command-line flag (read by parse) and its keyword in family_named.
+    dataclass field, if any, is its parameter, named as its command-line
+    flag and its keyword in family_named, which reads text with parse.
     Class attributes declare the rest: integer_weights; indicator (0/1
     weights, for which check_Ad_identity holds); required_filter, the one
     coprimality filter its runs take; norm_filters, the filters under which
@@ -280,7 +280,13 @@ class Rough(Family):
     indicator = True
     norm_filters = ("a",)
     routes = {("a", "dyadic"): "predict", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
-    parse = staticmethod(int)
+
+    @staticmethod
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise DomainError(f"roughness bound must be an integer, got {text!r}") from None
 
     def __post_init__(self):
         if self.y < 2:
@@ -348,18 +354,21 @@ ALIASES = {"twin": KTupleWeight(TWIN)}
 
 
 def family_named(name: str, **params) -> Family:
-    """The family predict --family names, built from the keyword named after
-    its field (form=, tuple= or y=); keywords it has no field for are ignored."""
+    """The one builder of a family by FAMILIES or ALIASES name, from the
+    keyword named after its field (form=, tuple= or y=), as text for its
+    parse or already built; keywords it has no field for are ignored."""
     if name in ALIASES:
         return ALIASES[name]
     if name not in FAMILIES:
         raise DomainError(f"unknown family {name!r}")
     family = FAMILIES[name]
-    names = [f.name for f in fields(family)]
-    for field in names:
-        if params.get(field) is None:
-            raise DomainError(f"{name} family needs {field}=")
-    return family(*(params[field] for field in names))
+    values = []
+    for field in fields(family):
+        value = params.get(field.name)
+        if value is None:
+            raise DomainError(f"the {name} family needs its {field.name}")
+        values.append(family.parse(value) if isinstance(value, str) else value)
+    return family(*values)
 
 
 @dataclass(frozen=True, eq=False)

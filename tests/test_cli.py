@@ -8,6 +8,7 @@ import pytest
 
 from disclab import bias, cli
 from disclab import ktuples as kt
+from disclab.quadform import BinaryQuadraticForm
 
 
 def run(capsys, *argv):
@@ -36,6 +37,16 @@ def test_predict_twin_shift(capsys):
     want = bias.predict_example("ktuple", -1, 100.0, tuple=triple).leading_value
     assert code == 0
     assert "value = %.12g" % want in out and "logM_exponent = 2" in out
+
+
+def test_predict_quadform_form(capsys):
+    # --form text is the form predict_example is given built
+    code, out = run(capsys, "predict", "--family", "quadform", "--form", "1,0,1",
+                    "--a", "1", "--M", "100")
+    form = BinaryQuadraticForm(1, 0, 1)
+    want = bias.predict_example("quadform", 1, 100.0, form=form).leading_value
+    assert code == 0
+    assert "value = %.12g" % want in out and "logM_exponent = 0" in out
 
 
 def test_predict_bounded_class(capsys):
@@ -75,6 +86,15 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # dyadic route only covers a = 1 mod 4
     code, _ = run(capsys, "predict", "--family", "quadform", "--a", "1", "--M", "10")
     assert code == 2  # the quadform family needs its --form
+    # missing or malformed family text, on every subcommand that takes it
+    for command in (["discrepancy", "--kind", "quadform", "--a", "1", "--x", "1000", "--M", "10"],
+                    ["discrepancy", "--kind", "quadform", "--form", "a,b,c",
+                     "--a", "1", "--x", "1000", "--M", "10"],
+                    ["predict", "--family", "ktuple", "--tuple", "1,x;1,2",
+                     "--a", "1", "--M", "10"],
+                    ["quadform", "--form", "a,b,c", "--a", "1", "--q", "7"]):
+        code, _ = run(capsys, *command)
+        assert code == 2, command
     for M in ("nan", "inf"):
         code, _ = run(capsys, "predict", "--family", "primes", "--a", "1", "--M", M)
         assert code == 2

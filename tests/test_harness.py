@@ -691,7 +691,8 @@ def test_refused_shift_costs_no_window(monkeypatch):
     # empirical_average refuses what the term array or the filter refuses,
     # with the same error, before it asks for its window: the forms at a
     # prime of 2d dividing a (x^2 + 2y^2, d = 8 mod 16, at every a), and
-    # twin's P filter at a = -2.  Every other shift asks for the window.
+    # twin's P filter at a = -2, also at x = 10, M = 20, whose q-range is
+    # empty.  Every other shift asks for the window.
     class AskedForWindow(Exception):
         pass
 
@@ -705,11 +706,14 @@ def test_refused_shift_costs_no_window(monkeypatch):
     forms = [BinaryQuadraticForm(*abc) for abc in ((1, 0, 1), (2, 1, 3), (1, 0, 2))]
     kinds = [sq.QuadFormMult(f) for f in forms] + [sq.KTupleWeight(kt.TWIN), sq.PrimesLambda()]
     refused = 0
-    for kind, a, mode in itertools.product(kinds, range(-6, 50), ("full", "dyadic")):
+    grid = itertools.product(
+        ((1000, 10.0), (10, 10.0), (10, 20.0)), kinds, range(-6, 50), ("full", "dyadic")
+    )
+    for (x, M), kind, a, mode in grid:
         if a == 0:
             continue
         filt = "P" if isinstance(kind, sq.KTupleWeight) else "none"
-        cfg = h.ExperimentConfig(kind=kind, a=a, x=1000, M=10.0, mode=mode, coprime_filter=filt)
+        cfg = h.ExperimentConfig(kind=kind, a=a, x=x, M=M, mode=mode, coprime_filter=filt)
         lo, hi = cfg.q_range()
         try:
             h._term_array(cfg, lo, hi)

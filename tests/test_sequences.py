@@ -246,6 +246,32 @@ def test_ktuple_with_coefficients():
         assert dense[n] == pytest.approx(expected, abs=1e-12), n
 
 
+def test_family_named_builds_from_text_or_values():
+    # the one builder: text goes through the family's parse, built values pass
+    triple = KTuple(((1, 0), (1, 2), (1, 6)))
+    for name, field, text, value in (("quadform", "form", "1,0,1", BinaryQuadraticForm(1, 0, 1)),
+                                     ("ktuple", "tuple", "1,0;1,2;1,6", triple),
+                                     ("rough", "y", "5", 5)):
+        built = sq.family_named(name, **{field: value})
+        assert sq.family_named(name, **{field: text}) == built
+        assert sq.family_named(name, **{field: text}, a=1, nosuch="x") == built
+        with pytest.raises(DomainError, match=f"needs its {field}"):
+            sq.family_named(name)
+        with pytest.raises(DomainError, match=f"needs its {field}"):
+            sq.family_named(name, **{field: None})
+    assert sq.family_named("primes", form="1,0,1", y="x") == sq.PrimesLambda()
+    assert sq.family_named("twin", tuple="1,x") == sq.KTupleWeight(TWIN)
+    for name, field, text in (("quadform", "form", "a,b,c"), ("quadform", "form", "1,0"),
+                              ("quadform", "form", "1,0,1,2"), ("quadform", "form", "1.5,0,1"),
+                              ("ktuple", "tuple", "1,x;1,2"), ("ktuple", "tuple", "1;2"),
+                              ("ktuple", "tuple", "1,0;1,2,3"), ("rough", "y", "x"),
+                              ("rough", "y", "5.0")):
+        with pytest.raises(DomainError):
+            sq.family_named(name, **{field: text})
+    with pytest.raises(DomainError, match="unknown family"):
+        sq.family_named("nosuch", y=5)
+
+
 def test_sieve_refuses_non_integer_bounds(monkeypatch):
     # 1e4 once reached numpy and failed there with a TypeError
     want = sq.sieve(sq.PrimesLambda(), 1, 10**4)
