@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError, UnsupportedError
+from .errors import ConfigurationError, DomainError, UnsupportedError, require_integers
 from .factorint import as_factored, iter_primes, kronecker
 from .multfn import SequenceModel, local_diff, omega_h
 from .quadform import BinaryQuadraticForm
@@ -83,7 +83,12 @@ def _euler_tail(model: SequenceModel, afac, P_trunc: int, acc):
     1 at every other prime, so leaving those out changes no bit.
     """
     k = model.k
-    integer_k = k.denominator == 1
+    # the power of (p - 1)/p, exact for integer k; for fractional k a float,
+    # by which a Fraction divides as float(diff) / power
+    if k.denominator == 1:
+        power = lambda base: base**k.numerator
+    else:
+        power = lambda base: float(base) ** float(k)
     declared = model.tail_primes
     if declared is None:
         primes = iter_primes(P_trunc)
@@ -93,21 +98,12 @@ def _euler_tail(model: SequenceModel, afac, P_trunc: int, acc):
     for p in primes:
         if afac.value % p == 0:
             continue
-        diff = local_diff(model, p, 0)
-        base = Fraction(p - 1, p)
-        if integer_k:
-            factor = diff / base**k.numerator
-            if factor == 1:
-                continue
-            fl = abs(math.log(float(factor)))
-        else:
-            factor = float(diff) / float(base) ** float(k)
-            if factor == 1.0:
-                continue
-            fl = abs(math.log(factor))
+        factor = local_diff(model, p, 0) / power(Fraction(p - 1, p))
+        if factor == 1:
+            continue
         acc *= factor
         if 2 * p > P_trunc:
-            drift += fl  # drift over the last octave, as a tail proxy
+            drift += abs(math.log(factor))  # drift over the last octave, as a tail proxy
     return acc, drift
 
 
@@ -249,6 +245,7 @@ def predict_example(
     """Closed-form prediction for a family by name, stated in the family's
     own normalization; the family is sequences.family_named(family, **params),
     so its parameter is a keyword named after its field, built or as text."""
+    require_integers(a=a)
     if a == 0:
         raise DomainError("a must be nonzero")
     if not (math.isfinite(M) and M > 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, require_integers
 
 Factorization = tuple[tuple[int, int], ...]
 
@@ -171,11 +171,11 @@ def _factor(n: int) -> Factorization:
 
 
 def factors_of(n) -> Factorization:
-    """The prime factorization of a FactoredInteger or of a nonzero int's
-    absolute value."""
+    """The prime factorization of a FactoredInteger or of a nonzero
+    integer's absolute value; a float is refused, not truncated."""
     if isinstance(n, FactoredInteger):
         return n.factors
-    n = int(n)
+    (n,) = require_integers(n=n)
     if n == 0:
         raise DomainError("expected a nonzero integer")
     return _factor(abs(n))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import contextlib
 import copy
 import csv
 import hashlib
@@ -44,12 +43,15 @@ from . import bias
 from . import multfn as mf
 from . import sequences as sq
 from .errors import (
-    ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers
+    ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers,
+    require_window,
 )
 from .factorint import as_factored, divisors, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
-_BLOCK = 10**7  # widest window of g_range and ktuple_term_range
+_BLOCK = 10**7
+# the term kernel's window budget: _BLOCK + 1 moduli, below 2^53, where q / D stops being exact
+_KERNEL = (_BLOCK + 1, 2**53 - 1)
 # moduli per piece of the multiplicative kernel, its unit of work: a piece's G
 # and D are 4 MB each, and an s5 tail worker holds one of each, so the
 # closed-forms bench's peak RSS fell 73.4 -> 57.2 MB from blocks of 2^20.
@@ -87,13 +89,13 @@ class ExperimentConfig:
     coprime_filter: str = "none"
 
     def __post_init__(self):
-        require_integers(a=self.a, x=self.x)
-        for name in ("a", "x"):  # a numpy integer runs as an int: x.bit_length(), JSON export
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.a == 0:
+        """Every refusal the fields decide, made before any work."""
+        a, x = require_integers(a=self.a, x=self.x)  # a numpy integer runs as an int
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "x", x)
+        if a == 0:
             raise DomainError("a must be nonzero")
-        if self.x < 1:
-            raise DomainError(f"x must be >= 1, got {self.x}")
+        require_window(1, x, sq.MAX_WINDOW, sq.MAX_TABLE_LIMIT)
         if not (math.isfinite(self.M) and self.M > 1):
             raise DomainError(f"M must be finite and > 1, got {self.M}")
         if self.mode not in _MODES:
@@ -102,9 +104,13 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"coprime_filter must be one of {_FILTERS}, got {self.coprime_filter!r}"
             )
+        if self.kind.required_filter not in (None, self.coprime_filter):
+            raise UnsupportedError(
+                f"{self.kind.name} runs need coprime_filter={self.kind.required_filter!r}"
+            )
         lo, hi = self.q_range()
-        if hi >= lo:  # a q-range the term kernel cannot take is refused before any sieve
-            _check_window(lo, hi)
+        if hi >= lo:
+            require_window(lo, hi, *_KERNEL)
 
     def provenance(self) -> dict:
         """config_hash, then the six fields it hashes, in export order."""
@@ -149,16 +155,6 @@ class S5Sums(NamedTuple):
 
 # ----------------------------------------------------------------------------
 # local-density arrays
-
-
-def _check_window(lo: int, hi: int) -> None:
-    require_integers(lo=lo, hi=hi)
-    if lo < 1 or hi < lo:
-        raise DomainError(f"bad range [{lo}, {hi}]")
-    if hi - lo + 1 > _BLOCK + 1:
-        raise ResourceError(f"window [{lo}, {hi}] too wide; use blocks")
-    if hi >= 2**53:
-        raise ResourceError(f"window [{lo}, {hi}] reaches 2^53, past exact float cofactors")
 
 
 def _cofactor_tile() -> np.ndarray:
@@ -376,14 +372,14 @@ def g_range(model: mf.SequenceModel | LocalRatios, a, lo: int, hi: int) -> np.nd
     its own buffers (LocalRatios.with_buffers) returns a prefix of its G,
     with the values of a fresh call.
     """
-    _check_window(lo, hi)
+    lo, hi = require_window(lo, hi, *_KERNEL)
     table = model if isinstance(model, LocalRatios) else LocalRatios(model, a, lo, hi)
     return table.sieve(a, lo, hi)
 
 
 def ktuple_term_range(H: KTuple, lo: int, hi: int) -> np.ndarray:
     """1/(q * gamma_H(q)) for q in [lo, hi]; the tuple analog of g_range."""
-    _check_window(lo, hi)
+    lo, hi = require_window(lo, hi, *_KERNEL)
     if not is_admissible(H):
         raise DomainError(f"inadmissible tuple {H.label()}")
     return _multiplicative_sieve(
@@ -433,7 +429,7 @@ def _filter_mask(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _normalizer(cfg: ExperimentConfig, A_x: float) -> float:
-    if cfg.coprime_filter in cfg.kind.norm_filters:
+    if any(f == cfg.coprime_filter and r == "predict" for (f, _), r in cfg.kind.routes.items()):
         span = cfg.x / cfg.M if cfg.mode == "full" else cfg.x / (2 * cfg.M)
         base = _filter_base(cfg)
         return phi(base) / base * span
@@ -491,15 +487,15 @@ def _slice_sums(
         return acc
     q0 = max(math.isqrt(x), abs(a))
     several = threads > 1 and hi - lo >= 1024
-    bounds = _chunks(lo, hi, _CHUNKS_PER_THREAD * threads) if several else [(lo, hi)]
-    with ThreadPoolExecutor(max_workers=threads) if several else contextlib.nullcontext() as pool:
+    bounds = _chunks(lo, hi, _CHUNKS_PER_THREAD * threads if several else 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for p0, step, plane, points in _segments(window, x, a, _SEGMENT):
 
             def part(b: tuple[int, int]) -> None:
                 i, j = b[0] - lo, b[1] - lo + 1
                 _segment_sums(acc[i:j], plane, p0, step, a, q0, b[0], b[1], keep[i:j], points)
 
-            list(pool.map(part, bounds) if pool else map(part, bounds))
+            list(pool.map(part, bounds))
     return acc[keep]
 
 
@@ -648,12 +644,12 @@ def empirical_average(
 ) -> DiscrepancyReport:
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
 
-    Refusals come before the work they spare, in this order: a thread count
-    that is not an integer >= 1, a filter the family does not take and an x
-    above the dense-array budget, then whatever the densities refuse
-    (_term_array, _filter_mask: a shift at which the model has no density,
-    a 'P' filter whose base is 0), asked for an empty q-range too, and only
-    then the window.  window is a SievedWindow over exactly [1, x], or None
+    cfg refused what its fields decide when it was built.  The rest comes
+    before the work it spares, in this order: a thread count that is not an
+    integer >= 1, then whatever the densities refuse (_term_array,
+    _filter_mask: a shift at which the model has no density, a 'P' filter
+    whose base is 0), asked for an empty q-range too, and only then the
+    window.  window is a SievedWindow over exactly [1, x], or None
     to sieve one, or a callable with no arguments that returns either; it is
     called only once the run is known not to be refused, so a refused run
     costs no sieve and no cache load.  sq.window_over refuses a window that
@@ -670,12 +666,6 @@ def empirical_average(
     if not isinstance(threads, numbers.Integral) or threads < 1:
         raise ConfigurationError(f"threads must be an integer >= 1, got {threads!r}")
     threads = int(threads)  # a numpy integer runs as an int
-    if cfg.kind.required_filter not in (None, cfg.coprime_filter):
-        raise UnsupportedError(
-            f"{cfg.kind.name} runs need coprime_filter={cfg.kind.required_filter!r}"
-        )
-    if cfg.x > sq.MAX_WINDOW:  # window_over's budget refusal, before any density
-        sq.window_over(cfg.kind, cfg.x)
     q_lo, q_hi = cfg.q_range()
     # the densities before the window, even for an empty q-range: a shift they refuse costs none
     G = _term_array(cfg, q_lo, q_hi)
@@ -740,8 +730,9 @@ def s5_sums(model: mf.SequenceModel, a, M: float, R: float, x: int) -> S5Sums:
     are reduced with fsum in block order, and the blocks do not depend on
     the worker count, so S_tail has the same bits on every machine.  A
     tail that reaches 2^53 or needs more than _TAIL_MAX_BLOCKS blocks is
-    refused before any table or block.
+    refused before any table or block, as is a non-integer a or x.
     """
+    a, x = require_integers(a=a, x=x)
     if not 1 < M <= R:
         raise DomainError(f"need 1 < M <= R, got M={M}, R={R}")
     if R**2 > x:

@@ -26,7 +26,8 @@ import numpy as np
 from . import bias
 from . import multfn as mf
 from .errors import (
-    ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers
+    ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers,
+    require_window,
 )
 from .factorint import as_factored, iter_primes, prime_window
 # kept for bench/run.py --trace 1, which wraps it by name, until ROADMAP item 6's benchmark change
@@ -60,17 +61,16 @@ class Family:
     flag and its keyword in family_named, which reads text with parse.
     Class attributes declare the rest: integer_weights; indicator (0/1
     weights, for which check_Ad_identity holds); required_filter, the one
-    coprimality filter its runs take; norm_filters, the filters under which
-    averages are normalized by (phi(b)/b) x/M, b the filter's base (1, |a|
-    or |P(a;H)|), instead of A(x)/M; and routes, (filter, mode) -> "predict"
-    (predict) or "mu_k" (bias.mu_k on model()).
+    coprimality filter its runs take; and routes, (filter, mode) ->
+    "predict" (predict) or "mu_k" (bias.mu_k on model()).  A filter that a
+    "predict" route takes normalizes averages by (phi(b)/b) x/M, b the
+    filter's base (1, |a| or |P(a;H)|), instead of A(x)/M.
     """
 
     name: ClassVar[str]
     integer_weights: ClassVar[bool]
     indicator: ClassVar[bool] = False
     required_filter: ClassVar[Optional[str]] = None
-    norm_filters: ClassVar[tuple] = ()
     routes: ClassVar[dict] = {}
     parse: ClassVar[Optional[Callable]] = None
 
@@ -90,7 +90,6 @@ class Family:
 class PrimesLambda(Family):
     name = "primes"
     integer_weights = False
-    norm_filters = ("a",)
     routes = {("a", "full"): "predict", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
 
     def window(self, lo, hi):
@@ -117,7 +116,6 @@ class QuadFormMult(Family):
 
     name = "quadform"
     integer_weights = True
-    norm_filters = ("none",)
     routes = {("none", "full"): "predict"}
     parse = staticmethod(parse_form)
 
@@ -150,7 +148,6 @@ class SumTwoSquares(Family):
     name = "two_squares"
     integer_weights = True
     indicator = True
-    norm_filters = ("none",)
     routes = {("none", "dyadic"): "predict"}
 
     def window(self, lo, hi):
@@ -190,7 +187,6 @@ class KTupleWeight(Family):
     name = "ktuple"
     integer_weights = False
     required_filter = "P"
-    norm_filters = ("P",)
     routes = {("P", "dyadic"): "predict"}
     parse = staticmethod(parse_tuple)
 
@@ -215,10 +211,12 @@ class KTupleWeight(Family):
             vlo, vhi = a * lo + b, a * hi + b
             if vhi < 2:
                 return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            if vhi > MAX_TABLE_LIMIT or vhi - max(vlo, 2) + 1 > MAX_WINDOW:
+            try:
+                require_window(max(vlo, 2), vhi, MAX_WINDOW, MAX_TABLE_LIMIT)
+            except ResourceError as exc:
                 raise ResourceError(
                     f"form {a}n+{b} needs values up to {vhi}; shrink the window"
-                )
+                ) from exc
         # values below 2 carry no weight: every form is >= 2 from n0 on
         n0 = max([lo] + [-((b - 2) // a) for a, b in forms])
         count = hi - n0 + 1
@@ -278,7 +276,6 @@ class Rough(Family):
     name = "rough"
     integer_weights = True
     indicator = True
-    norm_filters = ("a",)
     routes = {("a", "dyadic"): "predict", ("none", "full"): "mu_k", ("none", "dyadic"): "mu_k"}
 
     @staticmethod
@@ -405,18 +402,6 @@ class SievedWindow:
         return self.weights.dtype
 
 
-def _check_window(lo: int, hi: int):
-    require_integers(lo=lo, hi=hi)
-    if not (1 <= lo <= hi):
-        raise DomainError(f"bad window [{lo}, {hi}]")
-    if hi > MAX_TABLE_LIMIT:
-        raise ResourceError(f"hi={hi} beyond supported limit {MAX_TABLE_LIMIT}")
-    if hi - lo + 1 > MAX_WINDOW:
-        raise ResourceError(
-            f"window width {hi - lo + 1} exceeds {MAX_WINDOW}; sieve in pieces"
-        )
-
-
 def _lambda_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Support and log-prime weights of prime powers in [lo, hi].
 
@@ -474,7 +459,7 @@ def _form_counts(form: BinaryQuadraticForm, lo: int, hi: int) -> np.ndarray:
 
 def sieve(kind: Family, lo: int, hi: int) -> SievedWindow:
     """Materialize the weights of one family over [lo, hi]."""
-    _check_window(lo, hi)
+    lo, hi = require_window(lo, hi, MAX_WINDOW, MAX_TABLE_LIMIT)
     support, weights = kind.window(lo, hi)
     return SievedWindow(kind.label(), lo, hi, support, weights)
 
@@ -581,16 +566,14 @@ def dense_weights(
 
 def window_over(kind: Family, x: int, window: SievedWindow | None = None) -> SievedWindow:
     """The window a run or an identity over [1, x] reads for kind, and the one
-    place a window is refused for it.  In order: x must be an integer (a
-    numpy integer runs as an int) no larger than MAX_WINDOW, refused before
+    place a window is refused for it.  In order: [1, x] must pass the
+    sieve's window rule (a numpy integer x runs as an int), refused before
     any work; with no window given, [1, x] is sieved; a given window must
     carry kind's label, cover exactly [1, x] and hold kind's weight type (a
     cache whose weight-type byte flipped between 0 and 1 loads, read in the
     other type)."""
-    require_integers(x=x)
-    x = int(x)
-    if x > MAX_WINDOW:
-        raise ResourceError(f"x={x} above dense-array budget {MAX_WINDOW}")
+    (x,) = require_integers(x=x)
+    require_window(1, x, MAX_WINDOW, MAX_TABLE_LIMIT)
     if window is None:
         return sieve(kind, 1, x)
     if window.kind_label != kind.label() or (window.lo, window.hi) != (1, x):

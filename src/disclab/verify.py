@@ -219,13 +219,12 @@ def divisor_switch_check(
     families compare fsum against fsum of the identical multiset, so
     equality is still exact.
     """
-    require_integers(a=a)
+    a, x = require_integers(a=a, x=x)  # a numpy integer runs as an int: x.bit_length() in _plane
     if a <= 0:
         raise DomainError(f"the identity is stated for a > 0, got a={a}")
     if not (math.isfinite(M) and M > 0):
         raise DomainError(f"M must be finite and positive, got M={M}")
     window = sq.window_over(kind, x, window)
-    a, x = int(a), int(x)  # a numpy integer runs as an int: x.bit_length() in _plane
     w = sq.dense_weights(window, x)
     G = int(x / M)
     q = np.arange(G + 1, x - a + 1, dtype=np.int64)

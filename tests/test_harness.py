@@ -1120,3 +1120,76 @@ def test_normalizers_follow_the_family():
     rep2 = h.empirical_average(cfg2, window=win)
     A_x = float(sq.count_A(win))
     assert rep2.normalized_avg == rep2.empirical_sum / (A_x / M)
+
+
+def test_a_float_shift_is_refused_not_truncated():
+    # each of these once ran as if a were 2, 1, 2, 3 and 1, or at x = 1e6
+    model = mf.primes_model()
+    calls = [
+        lambda: bias.predict_example("primes", 2.9, 10.0),
+        lambda: bias.predict_example("primes", 1.5, 10.0),
+        lambda: bias.predict_example("rough", 1.0, 10.0, 1e4, y=3),
+        lambda: h.g_range(model, 2.5, 1, 10),
+        lambda: bias.mu_k(model, 3.7, 10.0),
+        lambda: h.s5_sums(model, 1.5, 10.0, 100.0, 10**6),
+        lambda: h.s5_sums(model, 1, 10.0, 100.0, 10**6 + 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    # a numpy integer shift runs as the same int
+    assert h.g_range(model, np.int64(6), 1, 100).tobytes() == h.g_range(model, 6, 1, 100).tobytes()
+    assert bias.mu_k(model, np.int32(3), 10.0) == bias.mu_k(model, 3, 10.0)
+
+
+def test_each_window_bound_refuses_one_past_its_edge(monkeypatch):
+    # errors.require_window under both budgets, with the work each guards
+    # patched to count its calls: the edge runs, one past it is refused
+    # before any work
+    calls = []
+
+    def counted(lo, hi, *rest):
+        calls.append((lo, hi))
+        return np.empty(0, np.int64), np.empty(0)
+
+    monkeypatch.setattr(sq, "_lambda_window", counted)
+    monkeypatch.setattr(h, "_multiplicative_sieve", lambda lo, hi, *rest: counted(lo, hi)[1])
+    monkeypatch.setattr(h, "iter_primes", lambda limit: [])  # LocalRatios at 2^53 lists none
+
+    def edge(call, ok, over, match="too wide"):
+        n = len(calls)
+        call(*ok)
+        assert len(calls) > n, ok
+        n = len(calls)
+        with pytest.raises(ResourceError, match=match):
+            call(*over)
+        assert len(calls) == n, over
+
+    kind = sq.PrimesLambda()
+    W, top = sq.MAX_WINDOW, sq.MAX_TABLE_LIMIT
+    edge(lambda lo, hi: sq.sieve(kind, lo, hi), (1, W), (1, W + 1))
+    edge(lambda lo, hi: sq.sieve(kind, lo, hi), (top, top), (top + 1, top + 1), "ends past")
+    edge(lambda x: sq.window_over(kind, x), (W,), (W + 1,))
+    model, kernel_top = mf.primes_model(), 2**53 - 1
+    for term in (lambda lo, hi: h.g_range(model, 1, lo, hi),
+                 lambda lo, hi: h.ktuple_term_range(kt.TWIN, lo, hi)):
+        edge(term, (1, h._BLOCK + 1), (1, h._BLOCK + 2))
+        edge(term, (kernel_top, kernel_top), (kernel_top + 1, kernel_top + 1), "ends past")
+
+    # a config takes the sieve's rule on [1, x] and the kernel's on its
+    # q-range, and sieves nothing either way
+    def config(x, M=10.0, kind=kind):
+        h.ExperimentConfig(kind=kind, a=1, x=x, M=M)
+        calls.append(x)  # built: counted as the run it allows
+
+    edge(config, (W,), (W + 1,))
+    edge(lambda x: config(x, 2.0, sq.Rough(7)), (2 * h._BLOCK + 2,), (2 * h._BLOCK + 4,))
+    # twin's runs take the 'P' filter, refused when the config is built
+    with pytest.raises(UnsupportedError, match="coprime_filter='P'"):
+        h.ExperimentConfig(kind=sq.KTupleWeight(kt.TWIN), a=-1, x=10**4, M=10.0)
+
+    # each form's values of a tuple window: n + 2 on [1, hi] spans [3, hi + 2]
+    monkeypatch.setattr(sq, "MAX_WINDOW", 1000)
+    twin = sq.KTupleWeight(kt.TWIN)
+    edge(twin.window, (1, 1000), (1, 1001), "form 1n\\+2")
+    edge(twin.window, (top - 12, top - 2), (top - 11, top - 1), "form 1n\\+2")
