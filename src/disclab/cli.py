@@ -264,10 +264,11 @@ def cmd_s5(args) -> int:
 def cmd_quadform(args) -> int:
     form = qf.parse_form(args.form)
     closed = qf.Ra_closed(form, args.a, args.q)
+    # counted before anything is printed, so a q past its cap prints nothing
+    brute = qf.Ra_brute(form, args.a, args.q) if args.brute else None
     print(f"R_a(q) = {closed}")
     print(f"rho_a(q) = {qf.rho_a(form, args.a, args.q)}")
     if args.brute:
-        brute = qf.Ra_brute(form, args.a, args.q)
         print(f"brute = {brute}")
         print(f"match = {closed == brute}")
         if closed != brute:

@@ -75,6 +75,14 @@ def prime_window(lo: int, hi: int) -> np.ndarray:
     return np.concatenate([np.array([2], dtype=np.int64), odd]) if lo == 2 <= hi else odd
 
 
+def coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
+    """One bool per n in [lo, hi], False at each multiple of a prime in primes."""
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    for p in primes:
+        mask[(-lo) % p :: p] = False
+    return mask
+
+
 def iter_primes(limit: int) -> list[int]:
     """Primes up to limit, as Python ints."""
     return prime_window(2, limit).tolist()

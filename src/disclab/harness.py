@@ -46,7 +46,7 @@ from .errors import (
     ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers,
     require_window,
 )
-from .factorint import as_factored, divisors, iter_primes, phi
+from .factorint import as_factored, coprime_mask, divisors, factors_of, iter_primes, phi
 from .ktuples import KTuple, deviating_primes, is_admissible, nu_H
 
 _BLOCK = 10**7
@@ -104,10 +104,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"coprime_filter must be one of {_FILTERS}, got {self.coprime_filter!r}"
             )
-        if self.kind.required_filter not in (None, self.coprime_filter):
-            raise UnsupportedError(
-                f"{self.kind.name} runs need coprime_filter={self.kind.required_filter!r}"
-            )
+        if self.coprime_filter not in self.kind.filters:
+            filters = " or ".join(map(repr, self.kind.filters))
+            raise UnsupportedError(f"{self.kind.name} runs need coprime_filter={filters}")
         lo, hi = self.q_range()
         if hi >= lo:
             require_window(lo, hi, *_KERNEL)
@@ -413,15 +412,7 @@ def _filter_base(cfg: ExperimentConfig) -> int:
 
 
 def _filter_mask(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    base = _filter_base(cfg)
-    if base == 1:
-        return mask
-    for p, _ in as_factored(base).factors:
-        start = ((lo + p - 1) // p) * p
-        if start <= hi:
-            mask[start - lo :: p] = False
-    return mask
+    return coprime_mask(lo, hi, [p for p, _ in factors_of(_filter_base(cfg))])
 
 
 # ----------------------------------------------------------------------------
@@ -644,16 +635,16 @@ def empirical_average(
 ) -> DiscrepancyReport:
     """Average of A(x;q,a) - a(a) - g_a(q) A(x) over the configured q-range.
 
-    cfg refused what its fields decide when it was built.  The rest comes
-    before the work it spares, in this order: a thread count that is not an
-    integer >= 1, then whatever the densities refuse (_term_array,
-    _filter_mask: a shift at which the model has no density, a 'P' filter
-    whose base is 0), asked for an empty q-range too, and only then the
-    window.  window is a SievedWindow over exactly [1, x], or None
-    to sieve one, or a callable with no arguments that returns either; it is
-    called only once the run is known not to be refused, so a refused run
-    costs no sieve and no cache load.  sq.window_over refuses a window that
-    does not serve the run.
+    cfg refused what its fields decide, a filter its family does not take
+    among them, when it was built.  The rest comes before the work it
+    spares, in this order: a thread count that is not an integer >= 1, a
+    'P' filter whose base is 0 (_filter_mask), a shift at which the model
+    has no density (_term_array), both asked for an empty q-range too, and
+    only then the window.  window is a SievedWindow over exactly [1, x], or
+    None to sieve one, or a callable with no arguments that returns either;
+    it is called only once the run is known not to be refused, so a refused
+    run costs no sieve and no cache load.  sq.window_over refuses a window
+    that does not serve the run.
 
     The per-q counts come from _slice_sums, which sums the window one dense
     segment at a time, integer families in integers; threads > 1 hands its
@@ -667,9 +658,9 @@ def empirical_average(
         raise ConfigurationError(f"threads must be an integer >= 1, got {threads!r}")
     threads = int(threads)  # a numpy integer runs as an int
     q_lo, q_hi = cfg.q_range()
-    # the densities before the window, even for an empty q-range: a shift they refuse costs none
-    G = _term_array(cfg, q_lo, q_hi)
+    # filter, then densities, then window, for an empty q-range too: a refusal spares what follows
     mask = _filter_mask(cfg, q_lo, q_hi)
+    G = _term_array(cfg, q_lo, q_hi)
     window = sq.window_over(cfg.kind, cfg.x, window() if callable(window) else window)
     A_x = sq.count_A_upto(window, cfg.x)
     A_xf = float(A_x)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError, OutOfRangeError
+from .errors import ConfigurationError, DomainError, OutOfRangeError, require_integers
 from .factorint import as_factored, factors_of, iter_primes
 
 
@@ -28,6 +28,7 @@ class KTuple:
             raise DomainError("tuple needs at least one form")
         seen = set()
         for a, b in self.forms:
+            require_integers(coefficient=a, offset=b)
             if a < 1:
                 raise DomainError(f"form coefficient must be >= 1, got {a}")
             if (a, b) in seen:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, require_integers
 from .factorint import FactoredInteger, as_factored, factors_of, iter_primes
 from . import quadform as qf
 
@@ -190,6 +190,7 @@ def two_squares_model() -> SequenceModel:
 
 def rough_model(y: int) -> SequenceModel:
     """Indicator of integers free of prime factors below y."""
+    require_integers(y=y)
     if y < 2:
         raise DomainError(f"roughness bound must be >= 2, got {y}")
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, UnsupportedError
+from .errors import DomainError, OutOfRangeError, UnsupportedError, require_integers
 from .factorint import factors_of, kronecker
 
 BRUTE_CAP = 5000
@@ -32,6 +32,7 @@ class BinaryQuadraticForm:
     gamma: int
 
     def __post_init__(self):
+        require_integers(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
         if self.disc >= 0:
             raise DomainError(f"form {self} is not definite (disc {self.disc} >= 0)")
         if self.alpha <= 0:

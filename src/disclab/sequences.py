@@ -29,7 +29,7 @@ from .errors import (
     ConfigurationError, DomainError, ResourceError, UnsupportedError, require_integers,
     require_window,
 )
-from .factorint import as_factored, iter_primes, prime_window
+from .factorint import as_factored, coprime_mask, iter_primes, prime_window
 # kept for bench/run.py --trace 1, which wraps it by name, until ROADMAP item 6's benchmark change
 from .factorint import spf_window  # noqa: F401
 from .ktuples import TWIN, KTuple, P_of, is_admissible, nu_H, parse_tuple
@@ -60,17 +60,18 @@ class Family:
     dataclass field, if any, is its parameter, named as its command-line
     flag and its keyword in family_named, which reads text with parse.
     Class attributes declare the rest: integer_weights; indicator (0/1
-    weights, for which check_Ad_identity holds); required_filter, the one
-    coprimality filter its runs take; and routes, (filter, mode) ->
-    "predict" (predict) or "mu_k" (bias.mu_k on model()).  A filter that a
-    "predict" route takes normalizes averages by (phi(b)/b) x/M, b the
-    filter's base (1, |a| or |P(a;H)|), instead of A(x)/M.
+    weights, for which check_Ad_identity holds); filters, the coprimality
+    filters its runs take (harness.ExperimentConfig refuses the rest when
+    it is built); and routes, (filter, mode) -> "predict" (predict) or
+    "mu_k" (bias.mu_k on model()).  A filter that a "predict" route takes
+    normalizes averages by (phi(b)/b) x/M, b the filter's base (1, |a| or
+    |P(a;H)|), instead of A(x)/M.
     """
 
     name: ClassVar[str]
     integer_weights: ClassVar[bool]
     indicator: ClassVar[bool] = False
-    required_filter: ClassVar[Optional[str]] = None
+    filters: ClassVar[tuple[str, ...]] = ("none", "a")
     routes: ClassVar[dict] = {}
     parse: ClassVar[Optional[Callable]] = None
 
@@ -80,10 +81,6 @@ class Family:
     def model(self) -> Optional[mf.SequenceModel]:
         """The multiplicative density model, or None (tuples)."""
         return None
-
-    def P(self, a: int) -> int:
-        """P(a; H), the base of the 'P' filter."""
-        raise DomainError("filter 'P' only applies to tuple weights")
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ class KTupleWeight(Family):
 
     name = "ktuple"
     integer_weights = False
-    required_filter = "P"
+    filters = ("P",)
     routes = {("P", "dyadic"): "predict"}
     parse = staticmethod(parse_tuple)
 
@@ -286,6 +283,7 @@ class Rough(Family):
             raise DomainError(f"roughness bound must be an integer, got {text!r}") from None
 
     def __post_init__(self):
+        require_integers(y=self.y)
         if self.y < 2:
             raise DomainError(f"roughness bound must be >= 2, got {self.y}")
 
@@ -293,11 +291,7 @@ class Rough(Family):
         return f"rough_{self.y}"
 
     def window(self, lo, hi):
-        keep = np.ones(hi - lo + 1, dtype=bool)
-        for p in iter_primes(min(self.y - 1, hi)):
-            start = ((lo + p - 1) // p) * p
-            keep[start - lo :: p] = False
-        idx = np.nonzero(keep)[0]
+        idx = np.nonzero(coprime_mask(lo, hi, iter_primes(min(self.y - 1, hi))))[0]
         return idx + lo, np.ones(len(idx), dtype=np.int64)
 
     def model(self):

@@ -69,8 +69,7 @@ def encode(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value)
-        return {"dtype": str(data.dtype), "sha256": hashlib.sha256(data.tobytes()).hexdigest()}
+        return {"dtype": str(value.dtype), "sha256": hashlib.sha256(value.tobytes()).hexdigest()}
     if dataclasses.is_dataclass(value):
         return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
@@ -109,11 +108,10 @@ def grid() -> dict:
                         key = f"report {kind.label()} a={a} M={M:g} {mode} {filt}"
                         values[key] = outcome(lambda: _report(kind, window, a, M, mode, filt))
         model = kind.model()
-        for a in (1, 2, 5, -7):
+        for a in (1,) if model is None else (1, 2, 5, -7):  # a tuple's terms do not depend on a
             key = f"kernel {kind.label()} a={a} [1, {KERNEL_TOP}]"
             if model is None:
-                if a == 1:
-                    values[key] = outcome(lambda: hn.ktuple_term_range(kind.tuple, 1, KERNEL_TOP))
+                values[key] = outcome(lambda: hn.ktuple_term_range(kind.tuple, 1, KERNEL_TOP))
             else:
                 values[key] = outcome(lambda: hn.g_range(model, a, 1, KERNEL_TOP))
     for name, params in PREDICTED:

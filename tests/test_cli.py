@@ -337,3 +337,15 @@ def test_closed_stdout_exits_quietly(capsys, monkeypatch, method):
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(["verify", "ktuples"]) == 141
     assert capsys.readouterr().err == ""
+
+
+def test_refusals_print_no_result(capsys):
+    # the brute count's cap is refused before the closed form is printed
+    code, out = run(capsys, "quadform", "--form", "1,0,1", "--a", "5", "--q", "6001", "--brute")
+    assert code == 2 and "R_a(q)" not in out
+    # a filter the family does not take is refused when the run's config is built
+    code = cli.main(["discrepancy", "--kind", "primes", "--a", "1", "--x", "10000",
+                     "--M", "10", "--filter", "P"])
+    captured = capsys.readouterr()
+    assert code == 2 and "q_count" not in captured.out
+    assert "primes runs need coprime_filter='none' or 'a'" in captured.err

@@ -178,3 +178,15 @@ def test_kronecker_chi_d_is_periodic():
     for n in range(1, 100, 2):
         want = 1 if n % 4 == 1 else -1
         assert fi.kronecker(-16, n) == want
+
+
+def test_coprime_mask_matches_gcd():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lo = int(rng.integers(1, 500))
+        hi = lo - 1 + int(rng.integers(0, 60))  # empty when hi = lo - 1
+        primes = sorted(set(rng.choice(fi.iter_primes(700), int(rng.integers(0, 5))).tolist()))
+        base = math.prod(primes)
+        want = [math.gcd(n, base) == 1 for n in range(lo, hi + 1)]
+        got = fi.coprime_mask(lo, hi, primes)
+        assert got.dtype == bool and got.tolist() == want, (lo, hi, primes)

@@ -1193,3 +1193,37 @@ def test_each_window_bound_refuses_one_past_its_edge(monkeypatch):
     twin = sq.KTupleWeight(kt.TWIN)
     edge(twin.window, (1, 1000), (1, 1001), "form 1n\\+2")
     edge(twin.window, (top - 12, top - 2), (top - 11, top - 1), "form 1n\\+2")
+
+
+def test_config_takes_exactly_the_family_filters():
+    # each family states the filters it takes once; the config refuses the
+    # rest when it is built, before any density or window
+    kinds = [sq.PrimesLambda(), sq.SumTwoSquares(), sq.Rough(7),
+             sq.QuadFormMult(BinaryQuadraticForm(1, 0, 1)), sq.KTupleWeight(kt.TWIN)]
+    assert set(sq.FAMILIES) == {type(kind).name for kind in kinds}
+    for kind, filt in itertools.product(kinds, h._FILTERS):
+        build = lambda: h.ExperimentConfig(kind=kind, a=1, x=10**4, M=10.0, coprime_filter=filt)
+        if filt in kind.filters:
+            assert build().coprime_filter == filt
+        else:
+            want = " or ".join(map(repr, kind.filters))
+            with pytest.raises(UnsupportedError, match=re.escape(f"coprime_filter={want}")):
+                build()
+
+
+@pytest.mark.parametrize("mode", ["full", "dyadic"])
+def test_empty_tuple_filter_costs_no_kernel_call(monkeypatch, mode):
+    # P(-2; twin) = 0: the filter is refused before the term kernel runs
+    calls = []
+    kernel = h._multiplicative_sieve
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(h, "_multiplicative_sieve", counted)
+    cfg = h.ExperimentConfig(kind=sq.KTupleWeight(kt.TWIN), a=-2, x=10**4, M=10.0,
+                             mode=mode, coprime_filter="P")
+    with pytest.raises(DomainError, match=re.escape("P(a;H) = 0")):
+        h.empirical_average(cfg, window=lambda: pytest.fail("asked for a window"))
+    assert calls == []

@@ -591,3 +591,26 @@ def test_sieved_window_refuses_bad_support_and_weights():
     ):
         with pytest.raises(DomainError):
             sq.SievedWindow("bad", 1, 10, support, weights)
+
+
+def test_family_parameters_must_be_integers():
+    from disclab import bias
+    from disclab import multfn as mf
+
+    for build in (
+        lambda: bias.predict_example("rough", 7, 100.0, 10**6, y=5.5),
+        lambda: sq.sieve(sq.Rough(5.5), 1, 100),
+        lambda: mf.rough_model(7.5),
+        lambda: BinaryQuadraticForm(1.5, 0, 1),
+        lambda: KTuple(((1, 0.5), (1, 2))),
+        lambda: KTuple(((2.0, 1), (1, 2))),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            build()
+    # numpy integers still pass
+    seven = np.int64(7)
+    assert sq.sieve(sq.Rough(seven), 1, 100).support.tolist() == \
+        sq.sieve(sq.Rough(7), 1, 100).support.tolist()
+    assert mf.rough_model(seven).label == "rough_7"
+    assert BinaryQuadraticForm(np.int64(1), 0, np.int32(1)).disc == -4
+    assert KTuple(((np.int64(1), 0), (1, np.int64(2)))).k == 2
